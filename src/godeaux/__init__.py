@@ -5,4 +5,4 @@ All arithmetic is over the rationals with ints and fractions.Fraction;
 nothing in this package uses floating point.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -9,14 +9,13 @@ on products of fixed elements.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .instance import Instance
-from .linalg import Number, SpanBuilder, kernel_basis, membership, rank_of, rref
+from .linalg import Echelon, Number, SpanBuilder, kernel_basis, membership, rref
 from .poly import Monomial, Poly, WeightedRing, evaluate, format_poly, parse_poly
 
 
@@ -117,6 +116,8 @@ class RelationSet:
     ring: WeightedRing
     relations: list[tuple[Poly, int]]
     horizon: int
+    # rank of the relation-ideal slice, per degree up to the horizon
+    ideal_ranks: dict[int, int]
 
     def degrees(self) -> list[int]:
         return [d for _, d in self.relations]
@@ -131,16 +132,17 @@ class RelationSet:
 class Pipeline:
     """All graded computations for one instance, with shared caches.
 
-    Work that is independent per degree may run on a thread pool; results
-    are assembled in input order, so output never depends on the schedule.
+    Every product matrix, the products of a generator list as vectors in one
+    graded piece of S/f, is built and eliminated once by `_image`.  The
+    images of the reference generators are shared by `verify_reference` and
+    `relations`.
     """
 
-    def __init__(self, instance: Instance, max_degree: int = 12, jobs: int = 1):
+    def __init__(self, instance: Instance, max_degree: int = 12):
         if max_degree < 2:
             raise ValueError("max_degree must be at least 2")
         self.instance = instance
         self.max_degree = max_degree
-        self.jobs = max(1, jobs)
         self.quotient = instance.quotient
         self.ring = instance.ring
         self._descend: dict[int, list[list[Fraction]]] = {}
@@ -149,14 +151,19 @@ class Pipeline:
         self._computed: Optional[GeneratorSet] = None
         self._reference: Optional[GeneratorSet] = None
         self._reference_cache: Optional[_ProductCache] = None
+        self._reference_images: dict[int, tuple[list[list[Number]], Echelon]] = {}
         self._relations: Optional[RelationSet] = None
         self._tring: Optional[WeightedRing] = None
+        self._quartic_ranks: dict[int, int] = {}
 
-    def _pmap(self, fn: Callable, items: Sequence) -> list:
-        if self.jobs <= 1 or len(items) <= 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(fn, items))
+    def _image(self, cache: _ProductCache, monos: Sequence[Monomial],
+               degree: int) -> tuple[list[list[Number]], Echelon]:
+        """The products `monos` of `cache.elements` as coefficient vectors in
+        degree `degree`, and the elimination of the matrix with those
+        columns."""
+        cols = [self.quotient.coefficient_vector(cache.get(beta), degree)
+                for beta in monos]
+        return cols, Echelon(zip(*cols), len(cols))
 
     # -- the descent condition ------------------------------------------
 
@@ -188,12 +195,10 @@ class Pipeline:
             return cached
         basis = self.quotient.degree_basis(m)
         n = len(basis)
-        width = self.instance.curve.graded_dimension(m)
         cols = [self._residue_vector(mono, m) for mono in basis]
         for tvec in self.instance.tau.basis_vectors(m):
             cols.append([-x for x in tvec])
-        rows = [[col[r] for col in cols] for r in range(width)]
-        kern = kernel_basis(rows, len(cols))
+        kern = kernel_basis(zip(*cols), len(cols))
         cvecs = [v[:n] for v in kern]
         if cvecs:
             red = rref(cvecs, n)
@@ -217,8 +222,8 @@ class Pipeline:
     def precompute_descend(self, degrees: Optional[Sequence[int]] = None):
         if degrees is None:
             degrees = range(self.max_degree + 1)
-        todo = [m for m in degrees if m not in self._descend]
-        self._pmap(self.descend_space, todo)
+        for m in degrees:
+            self.descend_space(m)
 
     # -- generators ------------------------------------------------------
 
@@ -233,14 +238,15 @@ class Pipeline:
             vectors = self.descend_space(m)
             if not vectors:
                 continue
-            width = len(self.quotient.degree_basis(m))
-            span = SpanBuilder(width)
+            span = SpanBuilder(len(self.quotient.degree_basis(m)))
             if gens:
+                # every generator so far has degree below m, so each degree-m
+                # monomial in them is a product of at least two
                 wring = WeightedRing([f"g{i}" for i in range(len(gens))],
                                      [d for _, d in gens])
-                for beta in wring.monomials(m):
-                    if sum(beta) >= 2:
-                        span.insert(self.quotient.coefficient_vector(cache.get(beta), m))
+                cols, image = self._image(cache, wring.monomials(m), m)
+                for j in image.pivot_columns:
+                    span.insert(cols[j])
             for vec in vectors:
                 if span.insert(vec) is not None:
                     poly = self.quotient.from_vector(m, vec).content_normalized()
@@ -261,9 +267,17 @@ class Pipeline:
                 self.quotient, self.reference_generators().polynomials())
         return self._reference_cache
 
-    def _generator_ring(self, gens: GeneratorSet) -> WeightedRing:
-        return WeightedRing([f"g{i}" for i in range(len(gens.generators))],
-                            gens.degrees())
+    def _reference_image(self, m: int) -> tuple[list[list[Number]], Echelon]:
+        """Image of the degree-m monomials of the presentation ring.  Until
+        the relations are known it is kept, and `relations` releases it once
+        it has read the kernel."""
+        got = self._reference_images.get(m)
+        if got is None:
+            got = self._image(self._reference_products(),
+                              self.presentation_ring().monomials(m), m)
+            if self._relations is None:
+                self._reference_images[m] = got
+        return got
 
     def verify_reference(self) -> dict:
         """Membership of each listed generator plus graded spanning checks."""
@@ -275,26 +289,18 @@ class Pipeline:
             ok = membership(vec, self.descend_space(d)) is not None
             members.append({"index": idx, "degree": d,
                             "polynomial": format_poly(poly), "member": ok})
-        cache = self._reference_products()
-        wring = self._generator_ring(gens)
         spans = []
         for m in range(2, self.max_degree + 1):
-            width = len(self.quotient.degree_basis(m))
             descend = self.descend_space(m)
-            inside = SpanBuilder(width)
+            inside = SpanBuilder(len(self.quotient.degree_basis(m)))
             for vec in descend:
                 inside.insert(vec)
-            outside = False
-            products = SpanBuilder(width)
-            for beta in wring.monomials(m):
-                if sum(beta) >= 1:
-                    vec = self.quotient.coefficient_vector(cache.get(beta), m)
-                    if inside.insert(vec) is not None:
-                        outside = True
-                    products.insert(vec)
-            spans.append({"degree": m, "product_rank": products.rank,
+            cols, image = self._reference_image(m)
+            # the pivot columns span every product
+            outside = not all(inside.contains(cols[j]) for j in image.pivot_columns)
+            spans.append({"degree": m, "product_rank": image.rank,
                           "dimension": len(descend),
-                          "spans": (not outside) and products.rank == len(descend)})
+                          "spans": (not outside) and image.rank == len(descend)})
         ok = all(e["member"] for e in members) and all(e["spans"] for e in spans)
         return {"members": members, "spans": spans, "ok": ok}
 
@@ -312,20 +318,11 @@ class Pipeline:
         if self._relations is not None:
             return self._relations
         tring = self.presentation_ring()
-        cache = self._reference_products()
-        degrees = list(range(4, self.max_degree + 1))
-
-        def kernel_for(m: int):
-            monos = tring.monomials(m)
-            cols = [self.quotient.coefficient_vector(cache.get(beta), m)
-                    for beta in monos]
-            dim = len(self.quotient.degree_basis(m))
-            rows = [[col[r] for col in cols] for r in range(dim)]
-            return kernel_basis(rows, len(monos))
-
-        kernels = dict(zip(degrees, self._pmap(kernel_for, degrees)))
         rels: list[tuple[Poly, int]] = []
-        for m in degrees:
+        ideal_ranks: dict[int, int] = {}
+        for m in range(4, self.max_degree + 1):
+            kernel = self._reference_image(m)[1].kernel()
+            del self._reference_images[m]
             monos = tring.monomials(m)
             index = {mono: i for i, mono in enumerate(monos)}
             span = SpanBuilder(len(monos))
@@ -336,11 +333,12 @@ class Pipeline:
                     for mono, c in shifted.coeffs.items():
                         vec[index[mono]] = c
                     span.insert(vec)
-            for kvec in kernels[m]:
+            for kvec in kernel:
                 if span.insert(kvec) is not None:
                     poly = Poly(tring, {mono: c for mono, c in zip(monos, kvec)})
                     rels.append((poly.content_normalized(), m))
-        self._relations = RelationSet(tring, rels, self.max_degree)
+            ideal_ranks[m] = span.rank
+        self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
         return self._relations
 
     def relation_defects(self) -> list[int]:
@@ -369,33 +367,20 @@ class Pipeline:
 
     def hilbert_consistency(self) -> list[dict]:
         """Triple per degree: solver dimension, invariant expectation, and
-        the presentation count #monomials - dim(ideal slice)."""
+        the presentation count #monomials - dim(ideal slice).
+
+        The relations span the kernel of the product map in every degree up
+        to the horizon, so there the presentation count equals the product
+        rank by construction; it is read off the ranks `relations` recorded.
+        The independent legs are descent against Riemann-Roch.
+        """
         self.precompute_descend()
         rels = self.relations()
-        tring = rels.ring
-
-        def presentation_dimension(m: int) -> int:
-            monos = tring.monomials(m)
-            index = {mono: i for i, mono in enumerate(monos)}
-            span = SpanBuilder(len(monos))
-            for rpoly, rdeg in rels.relations:
-                if rdeg > m:
-                    continue
-                for gamma in tring.monomials(m - rdeg):
-                    shifted = Poly(tring, {gamma: 1}) * rpoly
-                    vec: list[Number] = [0] * len(monos)
-                    for mono, c in shifted.coeffs.items():
-                        vec[index[mono]] = c
-                    span.insert(vec)
-            return len(monos) - span.rank
-
-        ms = list(range(self.max_degree + 1))
-        pres = dict(zip(ms, self._pmap(presentation_dimension, ms)))
         out = []
-        for m in ms:
+        for m in range(self.max_degree + 1):
             a = self.descend_dimension(m)
             b = self.expected_dimension(m)
-            c = pres[m]
+            c = len(rels.ring.monomials(m)) - rels.ideal_ranks.get(m, 0)
             out.append({"degree": m, "descend": a, "expected": b,
                         "presentation": c, "agree": a == b == c})
         return out
@@ -412,18 +397,10 @@ class Pipeline:
                   for i in inst.tricanonical_indices]
         gdeg = self.reference_generators().generators[inst.tricanonical_indices[0]][1]
         cache = _ProductCache(self.quotient, gammas)
-
-        def kernel_for(d: int):
-            monos = zring.monomials(d)
-            cols = [self.quotient.coefficient_vector(cache.get(beta), gdeg * d)
-                    for beta in monos]
-            dim = len(self.quotient.degree_basis(gdeg * d))
-            rows = [[col[r] for col in cols] for r in range(dim)]
-            return kernel_basis(rows, len(monos))
-
-        degrees = list(range(1, 10))
-        kernels = dict(zip(degrees, self._pmap(kernel_for, degrees)))
-        dims = {d: len(kernels[d]) for d in degrees}
+        dims = {}
+        for d in range(1, 10):
+            image = self._image(cache, zring.monomials(d), gdeg * d)[1]
+            dims[d] = image.ncols - image.rank
         report: dict = {"kernel_dimensions": dims,
                         "lower_degrees_injective": all(dims[d] == 0 for d in range(1, 9)),
                         "kernel_dimension_nine": dims[9]}
@@ -431,7 +408,7 @@ class Pipeline:
             report["status"] = "FAIL"
             return report
         monos = zring.monomials(9)
-        vec = kernels[9][0]
+        vec = image.kernel()[0]  # the degree-9 image, last in the loop
         form = Poly(zring, {mono: c for mono, c in zip(monos, vec)})
         lead = form.leading_coefficient()
         form = form.scale(Fraction(1) / Fraction(lead))
@@ -474,6 +451,8 @@ class Pipeline:
         29 = P_8).  The second differences therefore reach (4K)^2 only once h
         agrees with its Hilbert polynomial, which may be later than d_max; on
         the shipped instance that is from d = 6 on.
+
+        The ranks h(d) are kept, so a later call computes only new degrees.
         """
         if d_max < 4:
             raise ValueError("d_max must be at least 4")
@@ -481,18 +460,11 @@ class Pipeline:
         qring = WeightedRing([f"q{i}" for i in range(len(quartics))],
                              [1] * len(quartics))
         cache = _ProductCache(self.quotient, quartics)
-
-        def rank_for(d: int) -> int:
-            monos = qring.monomials(d)
-            width = len(self.quotient.degree_basis(4 * d))
-            vectors = [self.quotient.coefficient_vector(cache.get(beta), 4 * d)
-                       for beta in monos]
-            return rank_of(vectors, width)
-
-        degrees = list(range(1, d_max + 1))
-        ranks = dict(zip(degrees, self._pmap(rank_for, degrees)))
+        for d in range(1, d_max + 1):
+            if d not in self._quartic_ranks:
+                self._quartic_ranks[d] = self._image(cache, qring.monomials(d), 4 * d)[1].rank
         h = {0: 1}
-        h.update(ranks)
+        h.update((d, self._quartic_ranks[d]) for d in range(1, d_max + 1))
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
         return {"h": h, "second_differences": second,
                 "quartic_count": len(quartics)}

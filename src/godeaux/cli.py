@@ -6,7 +6,7 @@ group of the glued surface), defcalc (glueing sheaf degrees).
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error, 3 an
 UNDECIDED certificate.  Structured output is a canonical JSON document
-with sorted keys, byte-identical across runs and thread counts.
+with sorted keys, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _check_lines(checks: Sequence[dict]) -> list[str]:
 
 def _pipeline(args) -> Pipeline:
     instance = load_instance(args.instance)
-    return Pipeline(instance, max_degree=args.max_degree, jobs=args.jobs)
+    return Pipeline(instance, max_degree=args.max_degree)
 
 
 # -- canring -------------------------------------------------------------
@@ -317,22 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "for a glued stable surface.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, graded: bool = False):
         sp.add_argument("--instance", metavar="FILE",
                         help="instance or data file (default: bundled)")
-        sp.add_argument("--max-degree", dest="max_degree", type=int, default=12,
-                        metavar="N", help="degree horizon (default 12)")
+        if graded:
+            sp.add_argument("--max-degree", dest="max_degree", type=int, default=12,
+                            metavar="N", help="degree horizon (default 12)")
         sp.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output style")
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for per-degree work")
 
     common(sub.add_parser(
-        "canring", help="generators, relations and the dimension triple"))
+        "canring", help="generators, relations and the dimension triple"), graded=True)
     verify = sub.add_parser("verify", help="check one published value")
     verify.add_argument("target", choices=("tricanonical", "base-locus",
                                            "fourcanonical", "paper-generators"))
-    common(verify)
+    common(verify, graded=True)
     common(sub.add_parser(
         "topology", help="homology and fundamental group of the glued surface"))
     common(sub.add_parser(
@@ -350,9 +349,6 @@ _DISPATCH = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         code, doc, lines = _DISPATCH[args.command](args)
     except INPUT_ERRORS as exc:

@@ -82,20 +82,6 @@ class Instance:
 
         self.expected = raw.get("expected", {})
 
-    def expected_generator_degrees(self) -> Optional[list[int]]:
-        got = self.expected.get("generator_degrees")
-        return list(got) if got is not None else None
-
-    def expected_relation_degrees(self) -> Optional[dict[int, int]]:
-        got = self.expected.get("relation_degrees")
-        if got is None:
-            return None
-        return {int(k): int(v) for k, v in got.items()}
-
-    def expected_base_locus(self) -> dict[int, str]:
-        got = self.expected.get("base_locus", {})
-        return {int(k): str(v) for k, v in got.items()}
-
 
 def load_instance(path: Optional[str] = None) -> Instance:
     """Load an instance file; with no path, the bundled default."""

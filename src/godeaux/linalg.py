@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Number = int | Fraction
 
@@ -118,6 +118,16 @@ def _back_substitute(pivots: list[tuple[int, list[int]]]) -> list[tuple[int, lis
     return pivots
 
 
+def _int_rows(rows: Iterable[Sequence[Number]], ncols: int) -> list[list[int]]:
+    """Integer rows of a matrix, checking each row length as it is read."""
+    out = []
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("row length does not match ncols")
+        out.append(_as_int_row(r))
+    return out
+
+
 @dataclass(frozen=True)
 class RrefResult:
     rows: list[list[Fraction]]
@@ -131,49 +141,65 @@ def rref(rows: Sequence[Sequence[Number]], ncols: int) -> RrefResult:
     Returns the full matrix, same shape as the input, with zero rows at the
     bottom.  The result is the canonical RREF, unique for the row space.
     """
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("row length does not match ncols")
-    pivots = _back_substitute(_forward([_as_int_row(r) for r in rows], ncols))
+    irows = _int_rows(rows, ncols)
+    pivots = _back_substitute(_forward(irows, ncols))
     out = []
     for col, row in pivots:
         p = row[col]
         out.append([Fraction(x, p) for x in row])
     zero = [Fraction(0)] * ncols
-    while len(out) < len(rows):
+    while len(out) < len(irows):
         out.append(zero[:])
     return RrefResult(out, tuple(c for c, _ in pivots), len(pivots))
 
 
-def rank_of(rows: Sequence[Sequence[Number]], ncols: int) -> int:
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("row length does not match ncols")
-    return len(_forward([_as_int_row(r) for r in rows], ncols))
+class Echelon:
+    """One forward elimination of a matrix, read for rank, pivot columns and
+    kernel.
 
-
-def kernel_basis(rows: Sequence[Sequence[Number]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0}, one vector per free column, columns ascending.
-
-    The vector for free column j has a 1 in position j and is supported on j
-    and the pivot columns; this is the standard basis read off the RREF.
+    The rows may be any iterable, a lazy one included.  The kernel is built
+    on first use only, since its back substitution costs as much again as
+    the forward pass.
     """
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("row length does not match ncols")
-    pivots = _back_substitute(_forward([_as_int_row(r) for r in rows], ncols))
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for j in range(ncols):
-        if j in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for c, row in pivots:
-            if row[j]:
-                vec[c] = Fraction(-row[j], row[c])
-        basis.append(vec)
-    return basis
+
+    def __init__(self, rows: Iterable[Sequence[Number]], ncols: int):
+        self.ncols = ncols
+        self._pivots = _forward(_int_rows(rows, ncols), ncols)
+        self.rank = len(self._pivots)
+        self.pivot_columns = tuple(c for c, _ in self._pivots)
+        self._kernel: Optional[list[list[Fraction]]] = None
+
+    def kernel(self) -> list[list[Fraction]]:
+        """Basis of {x : M x = 0}, one vector per free column, columns ascending.
+
+        The vector for free column j has a 1 in position j and is supported
+        on j and the pivot columns; this is the standard basis read off the
+        RREF.
+        """
+        if self._kernel is None:
+            pivots = _back_substitute(self._pivots)
+            pivot_cols = set(self.pivot_columns)
+            basis = []
+            for j in range(self.ncols):
+                if j in pivot_cols:
+                    continue
+                vec = [Fraction(0)] * self.ncols
+                vec[j] = Fraction(1)
+                for c, row in pivots:
+                    if row[j]:
+                        vec[c] = Fraction(-row[j], row[c])
+                basis.append(vec)
+            self._kernel = basis
+        return self._kernel
+
+
+def rank_of(rows: Iterable[Sequence[Number]], ncols: int) -> int:
+    return Echelon(rows, ncols).rank
+
+
+def kernel_basis(rows: Iterable[Sequence[Number]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0}; see `Echelon.kernel`."""
+    return Echelon(rows, ncols).kernel()
 
 
 def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) -> Optional[list[Fraction]]:

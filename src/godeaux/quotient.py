@@ -99,7 +99,3 @@ class HypersurfaceRing:
         if len(vec) != len(basis):
             raise ValueError("vector length does not match degree basis")
         return Poly(self.ambient, {m: c for m, c in zip(basis, vec)})
-
-    def multiply(self, p: Poly, q: Poly) -> Poly:
-        """Product followed by reduction to normal form."""
-        return self.normal_form(p * q)

@@ -178,9 +178,6 @@ class ResidueMap:
             raise ValueError("degree required for the zero polynomial")
         return self._apply(nf, d)
 
-    def residue_vector(self, p: Poly, d: int) -> list[Number]:
-        return self.residue(p, d).coordinate_vector(d)
-
 
 class TauSubring:
     """Subring generated by two degree-1 elements u, v of the curve ring."""

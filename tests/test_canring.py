@@ -2,7 +2,6 @@
 dimension cross-checks, the degree-9 form, quartic products, and base
 locus certificates."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ RELATION_COUNTS = {6: 6, 7: 12, 8: 18, 9: 12, 10: 6}
 
 @pytest.fixture(scope="module")
 def pipe():
-    return Pipeline(load_instance(), max_degree=12, jobs=2)
+    return Pipeline(load_instance(), max_degree=12)
 
 
 class TestDescend:
@@ -113,6 +112,17 @@ class TestFourcanonical:
     def test_seven_quartics(self, pipe):
         assert pipe.fourcanonical()["quartic_count"] == 7
 
+    def test_ranks_are_kept(self, pipe, monkeypatch):
+        pipe.fourcanonical()
+
+        def no_products(*args):
+            raise AssertionError("a kept rank was computed again")
+
+        monkeypatch.setattr(pipe, "_image", no_products)
+        report = pipe.fourcanonical(d_max=4)
+        assert report["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120}
+        assert report["second_differences"] == {3: 20, 4: 16}
+
 
 def _replay_empty_certificate(pipe, m, certificate):
     ring = pipe.ring
@@ -164,15 +174,6 @@ class TestBaseLocus:
 
 
 class TestExport:
-    def test_document_deterministic_across_jobs(self):
-        instance = load_instance()
-        serial = [
-            json.dumps(Pipeline(instance, max_degree=12, jobs=jobs)
-                       .export_presentation(), sort_keys=True)
-            for jobs in (1, 3)
-        ]
-        assert serial[0] == serial[1]
-
     def test_document_content(self, pipe):
         doc = pipe.export_presentation()
         assert doc["generators"]["computed"]["degrees"] == GENERATOR_DEGREES
@@ -186,7 +187,7 @@ class TestExport:
         assert doc["fourcanonical_second_differences"] == [20, 16, 15]
 
     def test_truncated_horizon_skips_relations(self):
-        short = Pipeline(load_instance(), max_degree=5, jobs=1)
+        short = Pipeline(load_instance(), max_degree=5)
         doc = short.export_presentation()
         assert doc["relations"] == {"status": "SKIPPED",
                                     "reason": "max degree below 10"}

@@ -30,15 +30,6 @@ class TestCanring:
         assert doc["relations"]["total"] == 54
         assert all(c["status"] == "OK" for c in doc["checks"])
 
-    def test_determinism_across_jobs(self, capsys):
-        outputs = []
-        for jobs in ("1", "3"):
-            code, out, _ = run_cli(capsys, "canring", "--format", "structured",
-                                   "--jobs", jobs)
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
     def test_truncated_horizon_skips_relations(self, capsys):
         code, out, _ = run_cli(capsys, "canring", "--max-degree", "5",
                                "--format", "structured")
@@ -170,11 +161,6 @@ class TestInputErrors:
         assert code == 2
         assert "error:" in err
 
-    def test_bad_jobs(self, capsys):
-        code, _, err = run_cli(capsys, "canring", "--jobs", "0")
-        assert code == 2
-        assert "--jobs" in err
-
     def test_bad_max_degree(self, capsys):
         code, _, err = run_cli(capsys, "canring", "--max-degree", "1")
         assert code == 2
@@ -184,6 +170,13 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["topology", "defcalc"])
+    def test_max_degree_only_for_graded_commands(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--max-degree", "3"])
+        assert info.value.code == 2
+        assert "--max-degree" in capsys.readouterr().err
 
 
 def test_console_entry_point():

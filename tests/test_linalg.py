@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux.linalg import (
+    Echelon,
     SpanBuilder,
     det_int,
     kernel_basis,
@@ -88,6 +89,28 @@ class TestRref:
                 for r2 in range(res.rank):
                     if r2 != r:
                         assert res.rows[r2][c] == 0
+
+
+class TestEchelon:
+    def test_lazy_rows_match_rref(self):
+        rng = random.Random(303)
+        for _ in range(20):
+            nrows = rng.randrange(1, 6)
+            ncols = rng.randrange(1, 7)
+            rows = random_matrix(rng, nrows, ncols)
+            echelon = Echelon(iter(rows), ncols)
+            res = rref(rows, ncols)
+            assert (echelon.rank, echelon.pivot_columns) == (res.rank, res.pivot_columns)
+            kernel = echelon.kernel()
+            assert kernel is echelon.kernel()
+            assert len(kernel) == ncols - res.rank
+            for vec in kernel:
+                for row in rows:
+                    assert sum(F(a) * b for a, b in zip(row, vec)) == 0
+
+    def test_row_length_checked_while_reading(self):
+        with pytest.raises(ValueError):
+            Echelon(iter([[1, 2], [3]]), 2)
 
 
 class TestKernel:
