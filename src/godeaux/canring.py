@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .instance import Instance
-from .linalg import Echelon, Number, SpanBuilder, kernel_basis, membership, rref
-from .poly import Monomial, Poly, WeightedRing, evaluate, format_poly, parse_poly
+from .instance import Instance, Witness
+from .linalg import Echelon, Number, SpanBuilder, kernel_basis, membership, rank_of, rref
+from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly
 
 
 def rational_text(c: Number) -> str:
@@ -37,72 +37,30 @@ def _strip(beta: Sequence[int]) -> tuple[int, ...]:
 
 
 class _ProductCache:
-    """Normal forms of monomial products of a fixed (growable) element list."""
+    """Monomial products of a fixed (growable) element list, each product
+    built from a cached one by one multiplication and then passed through
+    `reduce` when given (a normal form, say)."""
 
-    def __init__(self, quotient, elements: list[Poly]):
-        self.quotient = quotient
+    def __init__(self, elements: list, one, reduce=None):
         self.elements = elements
-        self.cache: dict[tuple[int, ...], Poly] = {(): quotient.ambient.one()}
+        self.reduce = reduce
+        self.cache: dict[tuple[int, ...], object] = {(): one}
 
-    def get(self, beta: Sequence[int]) -> Poly:
+    def get(self, beta: Sequence[int]):
         key = _strip(beta)
         got = self.cache.get(key)
         if got is None:
             i = len(key) - 1
-            prev = self.get(key[:i] + (key[i] - 1,))
-            got = self.quotient.normal_form(prev * self.elements[i])
+            got = self.get(key[:i] + (key[i] - 1,)) * self.elements[i]
+            if self.reduce is not None:
+                got = self.reduce(got)
             self.cache[key] = got
         return got
-
-
-class _ExtensionElement:
-    """Element of Q[t]/(mu) for a monic minimal polynomial mu."""
-
-    __slots__ = ("coeffs", "mod")
-
-    def __init__(self, coeffs: Sequence[Number], mod: tuple):
-        deg = len(mod) - 1
-        work = list(coeffs)
-        for i in range(len(work) - 1, deg - 1, -1):
-            c = work[i]
-            if c:
-                for j, mc in enumerate(mod[:-1]):
-                    work[i - deg + j] -= c * mc
-            work.pop()
-        while len(work) < deg:
-            work.append(0)
-        self.coeffs = tuple(work)
-        self.mod = mod
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "_ExtensionElement") -> "_ExtensionElement":
-        return _ExtensionElement([a + b for a, b in zip(self.coeffs, other.coeffs)], self.mod)
-
-    def __mul__(self, other) -> "_ExtensionElement":
-        if isinstance(other, (int, Fraction)):
-            return _ExtensionElement([other * c for c in self.coeffs], self.mod)
-        deg = len(self.mod) - 1
-        prod = [0] * (2 * deg - 1) if deg > 0 else [0]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return _ExtensionElement(prod, self.mod)
-
-    def __rmul__(self, other) -> "_ExtensionElement":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
 
 @dataclass
 class GeneratorSet:
     generators: list[tuple[Poly, int]]
-    source: str
 
     def degrees(self) -> list[int]:
         return [d for _, d in self.generators]
@@ -132,10 +90,16 @@ class RelationSet:
 class Pipeline:
     """All graded computations for one instance, with shared caches.
 
-    Every product matrix, the products of a generator list as vectors in one
-    graded piece of S/f, is built and eliminated once by `_image`.  The
-    images of the reference generators are shared by `verify_reference` and
-    `relations`.
+    Monomial products of an element list are built once each by a
+    `_ProductCache`: the residues of the ambient variables for the descent,
+    and generator lists in S/f for everything else.  Every product matrix,
+    the products of a generator list as vectors in one graded piece of S/f,
+    is built and eliminated once by `_image`, and its `Echelon` answers the
+    questions asked of it: the rank, the pivot columns (the greedy choice of
+    independent products, used for new generators and spanning checks), the
+    kernel (relations), and solutions restricted to the pivot columns
+    (base-locus certificates).  The images of the reference generators are
+    shared by `verify_reference` and `relations`.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -147,7 +111,7 @@ class Pipeline:
         self.ring = instance.ring
         self._descend: dict[int, list[list[Fraction]]] = {}
         self._descend_polys: dict[int, list[Poly]] = {}
-        self._image_powers: dict[tuple[int, int], object] = {}
+        self._residues = _ProductCache(instance.residue.images, instance.curve.one())
         self._computed: Optional[GeneratorSet] = None
         self._reference: Optional[GeneratorSet] = None
         self._reference_cache: Optional[_ProductCache] = None
@@ -156,34 +120,20 @@ class Pipeline:
         self._tring: Optional[WeightedRing] = None
         self._quartic_ranks: dict[int, int] = {}
 
-    def _image(self, cache: _ProductCache, monos: Sequence[Monomial],
-               degree: int) -> tuple[list[list[Number]], Echelon]:
+    def _products(self, elements: list[Poly]) -> _ProductCache:
+        """Products of `elements` in S/f, each in normal form."""
+        return _ProductCache(elements, self.ring.one(), self.quotient.normal_form)
+
+    def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
+               extra: Sequence[Sequence[Number]] = ()) -> tuple[list[list[Number]], Echelon]:
         """The products `monos` of `cache.elements` as coefficient vectors in
         degree `degree`, and the elimination of the matrix with those
-        columns."""
+        columns followed by the `extra` ones."""
         cols = [self.quotient.coefficient_vector(cache.get(beta), degree)
                 for beta in monos]
-        return cols, Echelon(zip(*cols), len(cols))
+        return cols, Echelon(zip(*cols, *extra), len(cols) + len(extra))
 
     # -- the descent condition ------------------------------------------
-
-    def _image_power(self, i: int, e: int):
-        key = (i, e)
-        got = self._image_powers.get(key)
-        if got is None:
-            if e == 0:
-                got = self.instance.curve.one()
-            else:
-                got = self._image_power(i, e - 1) * self.instance.residue.images[i]
-            self._image_powers[key] = got
-        return got
-
-    def _residue_vector(self, mono: Monomial, d: int) -> list[Number]:
-        elt = self.instance.curve.one()
-        for i, e in enumerate(mono):
-            if e:
-                elt = elt * self._image_power(i, e)
-        return elt.coordinate_vector(d)
 
     def descend_space(self, m: int) -> list[list[Fraction]]:
         """Reduced basis of the degree-m piece, as vectors over the
@@ -195,7 +145,7 @@ class Pipeline:
             return cached
         basis = self.quotient.degree_basis(m)
         n = len(basis)
-        cols = [self._residue_vector(mono, m) for mono in basis]
+        cols = [self._residues.get(mono).coordinate_vector(m) for mono in basis]
         for tvec in self.instance.tau.basis_vectors(m):
             cols.append([-x for x in tvec])
         kern = kernel_basis(zip(*cols), len(cols))
@@ -219,52 +169,49 @@ class Pipeline:
             self._descend_polys[m] = cached
         return cached
 
-    def precompute_descend(self, degrees: Optional[Sequence[int]] = None):
-        if degrees is None:
-            degrees = range(self.max_degree + 1)
-        for m in degrees:
+    def precompute_descend(self):
+        for m in range(self.max_degree + 1):
             self.descend_space(m)
 
     # -- generators ------------------------------------------------------
 
     def minimal_generators(self) -> GeneratorSet:
-        """Greedy degree-by-degree complement of the product span."""
+        """Greedy degree-by-degree complement of the product span: the new
+        generators of degree m are the descend vectors whose columns are
+        pivots of [products | descend vectors]."""
         if self._computed is not None:
             return self._computed
         self.precompute_descend()
         gens: list[tuple[Poly, int]] = []
-        cache = _ProductCache(self.quotient, [])
+        cache = self._products([])
         for m in range(2, self.max_degree + 1):
             vectors = self.descend_space(m)
             if not vectors:
                 continue
-            span = SpanBuilder(len(self.quotient.degree_basis(m)))
+            monos: Sequence[Monomial] = ()
             if gens:
                 # every generator so far has degree below m, so each degree-m
                 # monomial in them is a product of at least two
-                wring = WeightedRing([f"g{i}" for i in range(len(gens))],
-                                     [d for _, d in gens])
-                cols, image = self._image(cache, wring.monomials(m), m)
-                for j in image.pivot_columns:
-                    span.insert(cols[j])
-            for vec in vectors:
-                if span.insert(vec) is not None:
+                monos = WeightedRing([f"g{i}" for i in range(len(gens))],
+                                     [d for _, d in gens]).monomials(m)
+            cols, image = self._image(cache, monos, m, vectors)
+            for j in image.pivot_columns:
+                if j >= len(cols):
+                    vec = vectors[j - len(cols)]
                     poly = self.quotient.from_vector(m, vec).content_normalized()
                     gens.append((poly, m))
                     cache.elements.append(poly)
-        self._computed = GeneratorSet(gens, "computed")
+        self._computed = GeneratorSet(gens)
         return self._computed
 
     def reference_generators(self) -> GeneratorSet:
         if self._reference is None:
-            self._reference = GeneratorSet(list(self.instance.reference_generators),
-                                           "reference")
+            self._reference = GeneratorSet(list(self.instance.reference_generators))
         return self._reference
 
     def _reference_products(self) -> _ProductCache:
         if self._reference_cache is None:
-            self._reference_cache = _ProductCache(
-                self.quotient, self.reference_generators().polynomials())
+            self._reference_cache = self._products(self.reference_generators().polynomials())
         return self._reference_cache
 
     def _reference_image(self, m: int) -> tuple[list[list[Number]], Echelon]:
@@ -292,15 +239,16 @@ class Pipeline:
         spans = []
         for m in range(2, self.max_degree + 1):
             descend = self.descend_space(m)
-            inside = SpanBuilder(len(self.quotient.degree_basis(m)))
-            for vec in descend:
-                inside.insert(vec)
             cols, image = self._reference_image(m)
-            # the pivot columns span every product
-            outside = not all(inside.contains(cols[j]) for j in image.pivot_columns)
+            # the pivot columns span every product, and the descend vectors
+            # are independent, so the products lie in the descend space iff
+            # adding the pivot columns to it raises no rank
+            pivots = [cols[j] for j in image.pivot_columns]
+            width = len(self.quotient.degree_basis(m))
             spans.append({"degree": m, "product_rank": image.rank,
                           "dimension": len(descend),
-                          "spans": (not outside) and image.rank == len(descend)})
+                          "spans": image.rank == len(descend)
+                          and rank_of(descend + pivots, width) == len(descend)})
         ok = all(e["member"] for e in members) and all(e["spans"] for e in spans)
         return {"members": members, "spans": spans, "ok": ok}
 
@@ -396,7 +344,7 @@ class Pipeline:
         gammas = [self.reference_generators().generators[i][0]
                   for i in inst.tricanonical_indices]
         gdeg = self.reference_generators().generators[inst.tricanonical_indices[0]][1]
-        cache = _ProductCache(self.quotient, gammas)
+        cache = self._products(gammas)
         dims = {}
         for d in range(1, 10):
             image = self._image(cache, zring.monomials(d), gdeg * d)[1]
@@ -459,7 +407,7 @@ class Pipeline:
         quartics = self.descend_polys(4)
         qring = WeightedRing([f"q{i}" for i in range(len(quartics))],
                              [1] * len(quartics))
-        cache = _ProductCache(self.quotient, quartics)
+        cache = self._products(quartics)
         for d in range(1, d_max + 1):
             if d not in self._quartic_ranks:
                 self._quartic_ranks[d] = self._image(cache, qring.monomials(d), 4 * d)[1].rank
@@ -471,27 +419,16 @@ class Pipeline:
 
     # -- base locus ------------------------------------------------------
 
-    def _witness_valid(self, cfg: dict, gens: list[Poly]) -> bool:
-        tring = WeightedRing(["t"], [1])
-        mu = parse_poly(cfg["extension_minimal_polynomial"], tring)
-        deg = max(m[0] for m in mu.coeffs)
-        lead = mu.coeffs.get((deg,), 0)
-        mod = [Fraction(mu.coeffs.get((i,), 0)) / Fraction(lead) for i in range(deg + 1)]
-        modt = tuple(mod)
-        coords = []
-        for text in cfg["point"]:
-            p = parse_poly(text, tring)
-            coords.append(_ExtensionElement(
-                [p.coeffs.get((i,), 0) for i in range(max(m[0] for m in p.coeffs) + 1)]
-                if p.coeffs else [0], modt))
+    def _witness_valid(self, witness: Witness, gens: list[Poly]) -> bool:
+        """The point is not zero in Q[t]/(mu) and kills every generator and
+        the modulus there."""
+        mu = witness.mu
+        coords = [divide(c, [mu])[1] for c in witness.coords]
         if all(c.is_zero for c in coords):
             return False
-        zero = _ExtensionElement([0], modt)
-        one = _ExtensionElement([1], modt)
-        for g in gens + [self.quotient.modulus]:
-            if not evaluate(g, coords, zero, one).is_zero:
-                return False
-        return True
+        zero, one = mu.ring.zero(), mu.ring.one()
+        return all(divide(evaluate(g, coords, zero, one), [mu])[1].is_zero
+                   for g in gens + [self.quotient.modulus])
 
     def base_locus(self, m: int) -> dict:
         """EMPTY via pure-power certificates, NONEMPTY via a verified
@@ -501,18 +438,18 @@ class Pipeline:
         gens = self.descend_polys(m)
         names = self.ring.names
         bound = self.instance.base_locus_bound
-        witness_cfg = self.instance.base_locus_witnesses.get(m)
+        witness = self.instance.base_locus_witnesses.get(m)
 
-        if witness_cfg is not None:
-            if not self._witness_valid(witness_cfg, gens):
+        if witness is not None:
+            if not self._witness_valid(witness, gens):
                 return {"verdict": "UNDECIDED", "bound": bound,
                         "note": "stated witness failed exact verification"}
             ev_bound = self.instance.nonempty_evidence_bound
             found = self._power_search(gens, m, [0], ev_bound)
             return {
                 "verdict": "NONEMPTY",
-                "witness": {"minimal_polynomial": witness_cfg["extension_minimal_polynomial"],
-                            "point": list(witness_cfg["point"]), "verified": True},
+                "witness": {"minimal_polynomial": witness.minimal_polynomial,
+                            "point": list(witness.point), "verified": True},
                 "evidence": {"variable": names[0], "bound": ev_bound,
                              "pure_power_found": 0 in found},
             }
@@ -536,6 +473,10 @@ class Pipeline:
         combination replays as a polynomial identity modulo the modulus.
         """
         weights = self.ring.weights
+        n = self.ring.n
+        # products of a basis monomial and a generator, as monomials in the
+        # ambient variables followed by the generators
+        cache = self._products([self.ring.variable(i) for i in range(n)] + gens)
         found: dict[int, tuple] = {}
         remaining = set(targets)
         for d in range(m, bound + 1):
@@ -544,52 +485,45 @@ class Pipeline:
             checkable = [i for i in remaining if d % weights[i] == 0]
             if not checkable:
                 continue
-            products = []
-            vectors = []
-            width = len(self.quotient.degree_basis(d))
-            span = SpanBuilder(width)
-            for gi, g in enumerate(gens):
-                for bmono in self.quotient.degree_basis(d - m):
-                    prod = self.quotient.normal_form(Poly(self.ring, {bmono: 1}) * g)
-                    vec = self.quotient.coefficient_vector(prod, d)
-                    products.append((bmono, gi))
-                    vectors.append(vec)
-                    span.insert(vec)
+            products = [(bmono, gi) for gi in range(len(gens))
+                        for bmono in self.quotient.degree_basis(d - m)]
+            monos = [bmono + tuple(int(j == gi) for j in range(len(gens)))
+                     for bmono, gi in products]
+            cols, image = self._image(cache, monos, d)
+            # the pivot columns span every product, and a solution on them
+            # is the canonical one over all products (free coefficients zero)
+            pivots = image.pivot_columns
             for i in checkable:
                 k = d // weights[i]
-                mono = tuple(k if j == i else 0 for j in range(self.ring.n))
+                mono = tuple(k if j == i else 0 for j in range(n))
                 target = self.quotient.coefficient_vector(Poly(self.ring, {mono: 1}), d)
-                if span.contains(target):
-                    coeffs = membership(target, vectors)
-                    if coeffs is None:
-                        continue
-                    combination = []
-                    for c, (bmono, gi) in zip(coeffs, products):
-                        if c:
-                            combination.append({
-                                "coefficient": rational_text(c),
-                                "monomial": format_poly(Poly(self.ring, {bmono: 1})),
-                                "generator": gi,
-                            })
-                    found[i] = (k, d, combination)
-                    remaining.discard(i)
+                coeffs = membership(target, [cols[j] for j in pivots])
+                if coeffs is None:
+                    continue
+                combination = []
+                for c, j in zip(coeffs, pivots):
+                    if c:
+                        bmono, gi = products[j]
+                        combination.append({
+                            "coefficient": rational_text(c),
+                            "monomial": format_poly(Poly(self.ring, {bmono: 1})),
+                            "generator": gi,
+                        })
+                found[i] = (k, d, combination)
+                remaining.discard(i)
         return found
 
     # -- assembled document ---------------------------------------------
 
-    def export_presentation(self, include_relations: Optional[bool] = None) -> dict:
+    def export_presentation(self) -> dict:
         """Full machine-readable report over every pipeline stage.
 
         Relations need the full degree horizon, so they are skipped when
-        max_degree sits below 10; forcing them on anyway is an error.
+        max_degree sits below 10.
         """
-        if include_relations is None:
-            include_relations = self.max_degree >= 10
-        if include_relations and self.max_degree < 10:
-            raise ValueError("relation verification needs max degree at least 10")
         computed = self.minimal_generators()
         reference_report = self.verify_reference()
-        rels = self.relations() if include_relations else None
+        rels = self.relations() if self.max_degree >= 10 else None
         hilbert = self.hilbert_consistency()
         tri = self.tricanonical()
         four = self.fourcanonical()

@@ -40,13 +40,11 @@ class CurveComponent:
     """A component of the double locus with its two branches upstairs.
 
     The two branches see the same glued points, so their preimage counts
-    must agree; self_glued marks the case where both entries describe
-    the involution-paired halves of a single branch curve.
+    must agree.
     """
 
     name: str
     branches: tuple[BranchData, BranchData]
-    self_glued: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -111,8 +109,7 @@ def config_from_dict(raw: dict) -> GluedCurveConfig:
     for comp in raw["components"]:
         branches = tuple(BranchData(b["degree"], b["node_preimages"])
                          for b in comp["branches"])
-        components.append(CurveComponent(comp["name"], branches,
-                                         bool(comp.get("self_glued", False))))
+        components.append(CurveComponent(comp["name"], branches))
     return GluedCurveConfig(raw["name"], tuple(components))
 
 

@@ -7,6 +7,7 @@ overridden by pointing the loader at another JSON file of the same shape.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -17,6 +18,36 @@ from .residue import CurveElement, CurveRing, ResidueMap, TauSubring
 
 class InstanceError(ValueError):
     """Malformed instance file."""
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A stated base-locus point over Q[t]/(mu): the texts as given, and
+    the minimal polynomial and one coordinate per ring variable parsed."""
+
+    minimal_polynomial: str
+    point: tuple[str, ...]
+    mu: Poly
+    coords: tuple[Poly, ...]
+
+
+def _parse_witness(key: str, cfg: dict, nvars: int) -> Witness:
+    where = f"base_locus.witnesses.{key}"
+    tring = WeightedRing(["t"], [1])
+    try:
+        text, point = cfg["extension_minimal_polynomial"], cfg["point"]
+        if not isinstance(point, list) or len(point) != nvars:
+            raise InstanceError(f"the point must list one coordinate per ring variable "
+                                f"({nvars}), got {point!r}")
+        mu = parse_poly(text, tring)
+        coords = tuple(parse_poly(c, tring) for c in point)
+    except KeyError as exc:
+        raise InstanceError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{where}: {exc}") from exc
+    if (mu.degree() or 0) < 1:
+        raise InstanceError(f"{where}: the minimal polynomial must have degree at least 1")
+    return Witness(text, tuple(point), mu, coords)
 
 
 class Instance:
@@ -78,7 +109,8 @@ class Instance:
         bl = raw["base_locus"]
         self.base_locus_bound = int(bl["degree_bound"])
         self.nonempty_evidence_bound = int(bl["nonempty_evidence_bound"])
-        self.base_locus_witnesses = {int(k): v for k, v in bl.get("witnesses", {}).items()}
+        self.base_locus_witnesses = {int(k): _parse_witness(k, v, self.ring.n)
+                                     for k, v in bl.get("witnesses", {}).items()}
 
         self.expected = raw.get("expected", {})
 

@@ -214,16 +214,16 @@ def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) ->
             raise ValueError("vector length does not match target")
     if not vectors:
         return [] if not any(target) else None
-    # solve A c = t where the columns of A are the vectors
-    aug = []
-    for i in range(width):
-        aug.append([Fraction(v[i]) for v in vectors] + [Fraction(target[i])])
-    res = rref(aug, len(vectors) + 1)
-    if len(vectors) in res.pivot_columns:
+    # solve A c = t where the columns of A are the vectors; the target is
+    # outside the span iff its column is a pivot, found before any back
+    # substitution
+    n = len(vectors)
+    pivots = _forward(_int_rows(zip(*vectors, target), n + 1), n + 1)
+    if pivots and pivots[-1][0] == n:
         return None
-    coeffs = [Fraction(0)] * len(vectors)
-    for row, col in zip(res.rows, res.pivot_columns):
-        coeffs[col] = row[-1]
+    coeffs = [Fraction(0)] * n
+    for col, row in _back_substitute(pivots):
+        coeffs[col] = Fraction(row[n], row[col])
     return coeffs
 
 

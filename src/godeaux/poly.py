@@ -107,11 +107,6 @@ class WeightedRing:
         return Poly(self, {mono: 1})
 
 
-def monomial_basis(ring: WeightedRing, d: int) -> tuple[Monomial, ...]:
-    """Monomials of weighted degree exactly d, in ascending monomial order."""
-    return ring.monomials(d)
-
-
 class Poly:
     """Sparse exact polynomial; treat as immutable."""
 
@@ -243,7 +238,7 @@ class Poly:
         return Poly(self.ring, ints)
 
     def coefficient_vector(self, d: int) -> list[Number]:
-        """Coefficients over monomial_basis(ring, d); input must be homogeneous of degree d."""
+        """Coefficients over ring.monomials(d); input must be homogeneous of degree d."""
         if self.coeffs and self.homogeneous_degree() != d:
             raise ValueError("degree mismatch")
         return [self.coeffs.get(m, 0) for m in self.ring.monomials(d)]
@@ -253,13 +248,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
-
-
-def poly_from_vector(ring: WeightedRing, d: int, vec: Sequence[Number]) -> Poly:
-    basis = ring.monomials(d)
-    if len(vec) != len(basis):
-        raise ValueError("vector length does not match monomial basis")
-    return Poly(ring, {m: c for m, c in zip(basis, vec)})
 
 
 def divide(dividend: Poly, divisors: Sequence[Poly]) -> tuple[list[Poly], Poly]:

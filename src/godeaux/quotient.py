@@ -84,9 +84,6 @@ class HypersurfaceRing:
             self._basis_cache[d] = cached
         return cached
 
-    def hilbert_dimension(self, d: int) -> int:
-        return len(self.degree_basis(d))
-
     def coefficient_vector(self, p: Poly, d: int) -> list[Number]:
         """Coordinates of normal_form(p) over degree_basis(d)."""
         nf = self.normal_form(p)

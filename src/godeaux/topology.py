@@ -488,7 +488,6 @@ def load_topology_data(path: Optional[str] = None) -> dict:
     )
     return {
         "chain_model": complex_,
-        "cell_names": model.get("cell_names"),
         "mayer_vietoris": data,
         "presentation": presentation,
         "expected": raw.get("expected", {}),

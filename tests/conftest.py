@@ -1,0 +1,18 @@
+"""Fixtures shared across test modules."""
+
+import contextlib
+import io
+
+import pytest
+
+from godeaux import cli
+
+
+@pytest.fixture(scope="session")
+def canring_structured():
+    """Exit code and output of `godeaux canring --format structured` at the
+    default horizon, run once for every test that reads it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["canring", "--format", "structured"])
+    return code, out.getvalue()

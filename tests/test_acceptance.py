@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from godeaux import cli
 from godeaux.canring import Pipeline
 from godeaux.defcalc import load_defcalc_data, section_bound, t1_degrees
 from godeaux.instance import load_instance
@@ -296,11 +295,10 @@ def test_criterion_10_deformation_degrees():
                    "section bounds give 1 at degree 1 and 0 at degree -5", ok)
 
 
-def test_criterion_11_golden_document(capsys):
+def test_criterion_11_golden_document(canring_structured):
     # A deliberate change to the document is recorded by regenerating the
     # file: godeaux canring --format structured > tests/golden/canring.json
-    code = cli.main(["canring", "--format", "structured"])
-    out = capsys.readouterr().out
+    code, out = canring_structured
     ok = code == 0 and out.encode() == GOLDEN_CANRING.read_bytes()
     _criterion(11, "structured canring output is byte-identical to the "
                    "checked-in document tests/golden/canring.json", ok)

@@ -192,5 +192,3 @@ class TestExport:
         assert doc["relations"] == {"status": "SKIPPED",
                                     "reason": "max degree below 10"}
         assert doc["generators"]["computed"]["degrees"] == GENERATOR_DEGREES
-        with pytest.raises(ValueError):
-            short.export_presentation(include_relations=True)

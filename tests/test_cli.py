@@ -21,8 +21,8 @@ def load_raw(name):
 
 
 class TestCanring:
-    def test_structured_success(self, capsys):
-        code, out, _ = run_cli(capsys, "canring", "--format", "structured")
+    def test_structured_success(self, canring_structured):
+        code, out = canring_structured
         assert code == 0
         doc = json.loads(out)
         assert doc["generators"]["computed"]["degrees"] == [
@@ -82,6 +82,22 @@ class TestVerify:
                                "--instance", str(path))
         assert code == 3
         assert "UNDECIDED" in out
+
+    @pytest.mark.parametrize("point", [
+        ["0", "1", "1", "t+1"],  # does not kill the degree-2 sections
+        ["0", "t^2+t+1", "t^2+t+1", "t^3-1"],  # zero modulo t^2+t+1
+    ], ids=["not-vanishing", "zero-point"])
+    def test_bad_witness_undecided(self, capsys, tmp_path, point):
+        raw = load_raw("godeaux.json")
+        raw["base_locus"]["witnesses"]["2"]["point"] = point
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(raw))
+        code, out, _ = run_cli(capsys, "verify", "base-locus",
+                               "--instance", str(path), "--format", "structured")
+        assert code == 3
+        report = json.loads(out)["reports"]["m2"]
+        assert report["verdict"] == "UNDECIDED"
+        assert report["note"] == "stated witness failed exact verification"
 
     def test_fourcanonical_reports_mismatch(self, capsys):
         # the configured constant 16 is the Veronese value (second difference
@@ -165,6 +181,26 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "canring", "--max-degree", "1")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("point", ["0", "1", "1"]),
+        ("point", ["0", "1", "1", "t^"]),
+        ("extension_minimal_polynomial", None),
+        ("extension_minimal_polynomial", "0"),
+    ], ids=["three-coordinates", "unparsable-coordinate", "missing-polynomial",
+            "zero-polynomial"])
+    def test_malformed_witness(self, capsys, tmp_path, field, value):
+        raw = load_raw("godeaux.json")
+        witness = raw["base_locus"]["witnesses"]["2"]
+        if value is None:
+            del witness[field]
+        else:
+            witness[field] = value
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "verify", "base-locus", "--instance", str(path))
+        assert code == 2
+        assert "base_locus.witnesses" in err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as info:

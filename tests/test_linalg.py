@@ -167,6 +167,13 @@ class TestMembership:
     def test_basis_element(self):
         assert membership([1, 0], [[1, 0], [0, 1]]) == [F(1), F(0)]
 
+    def test_dependent_vectors_canonical(self):
+        # free coefficients are zero, so solving against the independent
+        # vectors alone gives the same combination on them
+        vectors = [[1, 0, 1], [2, 0, 2], [0, 1, 1], [1, 1, 2]]
+        assert membership([3, 2, 5], vectors) == [F(3), F(0), F(2), F(0)]
+        assert membership([3, 2, 5], [vectors[0], vectors[2]]) == [F(3), F(2)]
+
     def test_random_exact(self):
         rng = random.Random(303)
         for _ in range(30):

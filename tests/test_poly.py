@@ -16,9 +16,7 @@ from godeaux.poly import (
     divide,
     evaluate,
     format_poly,
-    monomial_basis,
     parse_poly,
-    poly_from_vector,
 )
 
 F = Fraction
@@ -147,7 +145,7 @@ class TestArithmetic:
         for d in range(7):
             basis = ring.monomials(d)
             vec = [rng.randint(-5, 5) for _ in basis]
-            p = poly_from_vector(ring, d, vec)
+            p = Poly(ring, dict(zip(basis, vec)))
             assert p.coefficient_vector(d) == vec
 
     def test_coefficient_vector_degree_mismatch(self, ring):
@@ -272,6 +270,3 @@ class TestGrammar:
     def test_format_is_descending(self, ring):
         p = parse_poly("x1^2+z^2+y^3", ring)
         assert format_poly(p) == "z^2+y^3+x1^2"
-
-    def test_monomial_basis_alias(self, ring):
-        assert monomial_basis(ring, 2) == ring.monomials(2)
