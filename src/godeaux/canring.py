@@ -262,32 +262,59 @@ class Pipeline:
         return self._tring
 
     def relations(self) -> RelationSet:
-        """Minimal relations against the reference generator list."""
+        """Minimal relations against the reference generator list.
+
+        In each degree m the multiples of the relations found so far are
+        inserted into the ideal slice, then the kernel vectors of the product
+        map; a kernel vector that is independent of the slice is a new
+        relation.  Every multiple of a relation is itself in that kernel, so
+        the slice is a subspace of the kernel, and once its rank equals the
+        kernel's dimension (read off the forward elimination) the two are
+        equal: every later multiple and kernel vector is dependent, and both
+        loops stop there.  The kernel basis, whose back substitution costs as
+        much again as the forward pass, is built only in degrees where the
+        multiples leave the kernel unfilled.  The chosen relations and the
+        recorded ranks are the ones the full loops would give.
+        """
         if self._relations is not None:
             return self._relations
         tring = self.presentation_ring()
         rels: list[tuple[Poly, int]] = []
         ideal_ranks: dict[int, int] = {}
         for m in range(4, self.max_degree + 1):
-            kernel = self._reference_image(m)[1].kernel()
+            image = self._reference_image(m)[1]
             del self._reference_images[m]
+            nullity = image.ncols - image.rank
             monos = tring.monomials(m)
-            index = {mono: i for i, mono in enumerate(monos)}
             span = SpanBuilder(len(monos))
-            for rpoly, rdeg in rels:
-                for gamma in tring.monomials(m - rdeg):
-                    shifted = Poly(tring, {gamma: 1}) * rpoly
-                    vec: list[Number] = [0] * len(monos)
-                    for mono, c in shifted.coeffs.items():
-                        vec[index[mono]] = c
-                    span.insert(vec)
+            for vec in self._relation_multiples(rels, monos, m):
+                if span.rank == nullity:
+                    break
+                span.insert(vec)
+            kernel = image.kernel() if span.rank < nullity else []
             for kvec in kernel:
+                if span.rank == nullity:
+                    break
                 if span.insert(kvec) is not None:
                     poly = Poly(tring, {mono: c for mono, c in zip(monos, kvec)})
                     rels.append((poly.content_normalized(), m))
             ideal_ranks[m] = span.rank
         self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
         return self._relations
+
+    def _relation_multiples(self, rels: list[tuple[Poly, int]],
+                            monos: Sequence[Monomial], m: int):
+        """The degree-m monomial multiples of `rels`, lazily, as vectors
+        over `monos`."""
+        tring = self.presentation_ring()
+        index = {mono: i for i, mono in enumerate(monos)}
+        for rpoly, rdeg in rels:
+            for gamma in tring.monomials(m - rdeg):
+                shifted = Poly(tring, {gamma: 1}) * rpoly
+                vec: list[Number] = [0] * len(monos)
+                for mono, c in shifted.coeffs.items():
+                    vec[index[mono]] = c
+                yield vec
 
     def relation_defects(self) -> list[int]:
         """Indices of relations that fail the independent substitution check."""
@@ -337,7 +364,17 @@ class Pipeline:
 
     def tricanonical(self) -> dict:
         """Kernel of the cubic-monomial evaluation in degree 9, matched
-        against the bundled reference form over all variable assignments."""
+        against the bundled reference form over all variable assignments.
+
+        The kernel I of the evaluation Q[z] -> S/f, z_i -> gamma_i, is an
+        ideal, and multiplication by g != 0 is injective on Q[z].  So a
+        nonzero g in I_d with d < 9 gives g * Q[z]_{9-d} inside I_9, of
+        dimension C(12 - d, 3) >= 4 for four variables (at least the number
+        of variables in general).  Hence with two or more variables dim I_9
+        = 1 forces I_d = 0 for every d < 9, and only degree 9 is eliminated;
+        otherwise degrees 1 to 8 are eliminated too, so a FAIL report
+        carries their computed kernel dimensions.
+        """
         inst = self.instance
         zring = inst.tricanonical_ring
         nvars = zring.n
@@ -345,18 +382,21 @@ class Pipeline:
                   for i in inst.tricanonical_indices]
         gdeg = self.reference_generators().generators[inst.tricanonical_indices[0]][1]
         cache = self._products(gammas)
-        dims = {}
-        for d in range(1, 10):
-            image = self._image(cache, zring.monomials(d), gdeg * d)[1]
-            dims[d] = image.ncols - image.rank
+        monos = zring.monomials(9)
+        nine = self._image(cache, monos, gdeg * 9)[1]
+        dims = dict.fromkeys(range(1, 10), 0)
+        dims[9] = nine.ncols - nine.rank
+        if dims[9] != 1 or nvars == 1:
+            for d in range(1, 9):
+                image = self._image(cache, zring.monomials(d), gdeg * d)[1]
+                dims[d] = image.ncols - image.rank
         report: dict = {"kernel_dimensions": dims,
                         "lower_degrees_injective": all(dims[d] == 0 for d in range(1, 9)),
                         "kernel_dimension_nine": dims[9]}
         if dims[9] != 1:
             report["status"] = "FAIL"
             return report
-        monos = zring.monomials(9)
-        vec = image.kernel()[0]  # the degree-9 image, last in the loop
+        vec = nine.kernel()[0]
         form = Poly(zring, {mono: c for mono, c in zip(monos, vec)})
         lead = form.leading_coefficient()
         form = form.scale(Fraction(1) / Fraction(lead))

@@ -22,6 +22,10 @@ Number = int | Fraction
 
 def _as_int_row(row: Sequence[Number]) -> list[int]:
     """Scale a row of ints/Fractions to integers (common denominator)."""
+    # the exact type test is cheap, where isinstance against Fraction goes
+    # through the ABC machinery for every entry
+    if all(type(x) is int for x in row):
+        return list(row)
     denom = 1
     for x in row:
         if isinstance(x, Fraction):

@@ -40,9 +40,6 @@ class CurveRing:
         return CurveElement(self, parse_poly(first_text, self.first),
                             parse_poly(second_text, self.second))
 
-    def graded_dimension(self, d: int) -> int:
-        return 2 * (d + 1)
-
 
 class CurveElement:
     """Pair of binary forms of one common degree; zero components allowed."""

@@ -8,6 +8,7 @@ import pytest
 
 from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
+from godeaux.linalg import SpanBuilder
 from godeaux.poly import Poly, WeightedRing, divide, evaluate, format_poly, parse_poly
 
 DESCEND_DIMS = [1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67]
@@ -75,6 +76,31 @@ class TestRelations:
     def test_horizon_recorded(self, pipe):
         assert pipe.relations().horizon == 12
 
+    def test_early_stop_matches_full_loops(self):
+        # oracle: insert every multiple and then every kernel vector, with no
+        # stop once the ideal slice fills the kernel
+        short = Pipeline(load_instance(), max_degree=11)
+        tring = short.presentation_ring()
+        kernels = {m: short._reference_image(m)[1].kernel() for m in range(4, 12)}
+        rels, ranks = [], {}
+        for m in range(4, 12):
+            monos = tring.monomials(m)
+            span = SpanBuilder(len(monos))
+            for rpoly, rdeg in rels:
+                for gamma in tring.monomials(m - rdeg):
+                    shifted = Poly(tring, {gamma: 1}) * rpoly
+                    span.insert([shifted.coeffs.get(mono, 0) for mono in monos])
+            for kvec in kernels[m]:
+                if span.insert(kvec) is not None:
+                    poly = Poly(tring, dict(zip(monos, kvec)))
+                    rels.append((poly.content_normalized(), m))
+            ranks[m] = span.rank
+        got = short.relations()
+        assert got.relations == rels
+        assert got.ideal_ranks == ranks
+        for m in range(4, 12):
+            assert got.ideal_ranks[m] == len(kernels[m])
+
 
 class TestHilbert:
     def test_triple_agreement(self, pipe):
@@ -98,6 +124,26 @@ class TestTricanonical:
         report = pipe.tricanonical()
         reference = pipe.instance.tricanonical_reference.content_normalized()
         assert report["form"] == format_poly(reference)
+
+    def test_lower_degrees_injective_directly(self, pipe):
+        # oracle for the degree-9 shortcut: eliminate degrees 1 to 8
+        inst = pipe.instance
+        gens = pipe.reference_generators().generators
+        cache = pipe._products([gens[i][0] for i in inst.tricanonical_indices])
+        gdeg = gens[inst.tricanonical_indices[0]][1]
+        for d in range(1, 9):
+            image = pipe._image(cache, inst.tricanonical_ring.monomials(d), gdeg * d)[1]
+            assert image.ncols - image.rank == 0, d
+
+    def test_repeated_generator_reports_lower_kernels(self):
+        # z0 - z1 lies in I_1, so dim I_9 > 1 and degrees 1 to 8 are computed
+        instance = load_instance()
+        instance.tricanonical_indices = [2, 2, 3, 4]
+        report = Pipeline(instance).tricanonical()
+        assert report["kernel_dimension_nine"] > 1
+        assert report["kernel_dimensions"][1] >= 1
+        assert not report["lower_degrees_injective"]
+        assert report["status"] == "FAIL"
 
 
 class TestFourcanonical:

@@ -4,10 +4,14 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from godeaux import cli
+from godeaux.canring import Pipeline
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -40,7 +44,11 @@ class TestCanring:
         assert statuses["relation-profile"] == "SKIPPED"
         assert statuses["generator-profile"] == "OK"
 
-    def test_text_mode(self, capsys):
+    def test_text_mode(self, capsys, monkeypatch, canring_structured):
+        # the text lines are rendered from the same document as the shared
+        # structured run, so that document stands in for a second pipeline run
+        doc = json.loads(canring_structured[1])
+        monkeypatch.setattr(Pipeline, "export_presentation", lambda self: doc)
         code, out, _ = run_cli(capsys, "canring")
         assert code == 0
         assert "generator degrees: 2 2 3 3 3 3 4 4 4 4 5 5 5" in out
@@ -56,6 +64,9 @@ class TestVerify:
         assert doc["status"] == "OK"
         assert doc["kernel_dimensions"]["9"] == 1
         assert doc["assignment"] == [0, 1, 2, 3]
+        # lower kernel dimensions are derived from dim I_9 = 1; the document
+        # must not differ from the one that eliminated every degree
+        assert out.encode() == (GOLDEN / "verify-tricanonical.json").read_bytes()
 
     def test_paper_generators(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "paper-generators",
