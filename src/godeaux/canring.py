@@ -129,7 +129,7 @@ class Pipeline:
         """The products `monos` of `cache.elements` as coefficient vectors in
         degree `degree`, and the elimination of the matrix with those
         columns followed by the `extra` ones."""
-        cols = [self.quotient.coefficient_vector(cache.get(beta), degree)
+        cols = [self.quotient.coordinates(cache.get(beta), degree)
                 for beta in monos]
         return cols, Echelon(zip(*cols, *extra), len(cols) + len(extra))
 

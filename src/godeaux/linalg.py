@@ -6,6 +6,11 @@ denominators row by row and works on integer rows with cross-multiplication
 updates; after every update the row is divided by its content (gcd of the
 entries, computed with an early exit) so entries stay small in practice.
 
+Pivot rows are mostly zeros, so an update scales the row being reduced and
+then subtracts only at the pivot row's nonzero entries (its support, listed
+once per pivot row).  Off the support the pivot entry is zero, so every entry
+is the same integer a full-width update would give.
+
 Reduced row echelon form of a matrix is unique, so the results do not depend
 on the internal pivoting strategy.
 """
@@ -70,18 +75,30 @@ def _normalize(row: list[int]) -> list[int]:
     return row
 
 
-def _cross_eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
-    """Return p*row - a*prow scaled to kill row[col], content-reduced."""
+def _support(row: Sequence[int]) -> list[tuple[int, int]]:
+    """The (column, entry) pairs of a row's nonzero entries."""
+    return [(j, y) for j, y in enumerate(row) if y]
+
+
+def _cross_eliminate(row: list[int], prow: list[int], col: int,
+                     support: list[tuple[int, int]]) -> list[int]:
+    """Return p*row - a*prow scaled to kill row[col], content-reduced.
+
+    `support` is `_support(prow)`; only those entries are updated after the
+    scaling.  The input row is not modified.
+    """
     a = row[col]
     p = prow[col]
     g = gcd(p, a)
     mp, ma = p // g, a // g
     if mp == 1:
-        out = [x - ma * y for x, y in zip(row, prow)]
+        out = row[:]
     elif mp == -1:
-        out = [-x - ma * y for x, y in zip(row, prow)]
+        out = [-x for x in row]
     else:
-        out = [mp * x - ma * y for x, y in zip(row, prow)]
+        out = [mp * x for x in row]
+    for j, y in support:
+        out[j] -= ma * y
     return _reduce_content(out)
 
 
@@ -98,10 +115,11 @@ def _forward(irows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
         # smallest pivot magnitude keeps coefficient growth down
         best = min(cands, key=lambda i: (abs(pending[i][col]), i))
         prow = _normalize(pending.pop(best))
+        support = _support(prow)
         nxt = []
         for r in pending:
             if r[col]:
-                r = _cross_eliminate(r, prow, col)
+                r = _cross_eliminate(r, prow, col, support)
                 if not any(r):
                     continue
             nxt.append(r)
@@ -112,13 +130,17 @@ def _forward(irows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
 
 def _back_substitute(pivots: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
     """Make the echelon rows fully reduced (zeros above every pivot)."""
+    # supports[j] is the support of the finished row j, filled bottom up
+    supports: list[list[tuple[int, int]]] = [[] for _ in pivots]
     for i in range(len(pivots) - 1, -1, -1):
         col, row = pivots[i]
         for j in range(i + 1, len(pivots)):
             cj, rowj = pivots[j]
             if row[cj]:
-                row = _cross_eliminate(row, rowj, cj)
-        pivots[i] = (col, _normalize(row))
+                row = _cross_eliminate(row, rowj, cj, supports[j])
+        row = _normalize(row)
+        pivots[i] = (col, row)
+        supports[i] = _support(row)
     return pivots
 
 
@@ -243,6 +265,9 @@ class SpanBuilder:
         self.width = width
         self.pivot_cols: list[int] = []
         self.rows: dict[int, list[int]] = {}
+        # support of each stored row, dropped when the row is rewritten and
+        # rebuilt when a residual next uses it
+        self._supports: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def rank(self) -> int:
@@ -253,9 +278,13 @@ class SpanBuilder:
         if len(row) != self.width:
             raise ValueError("row length does not match width")
         r = _as_int_row(row)
+        rows, supports = self.rows, self._supports
         for col in self.pivot_cols:
             if r[col]:
-                r = _cross_eliminate(r, self.rows[col], col)
+                support = supports.get(col)
+                if support is None:
+                    support = supports[col] = _support(rows[col])
+                r = _cross_eliminate(r, rows[col], col, support)
         return r
 
     def contains(self, row: Sequence[Number]) -> bool:
@@ -270,12 +299,15 @@ class SpanBuilder:
         else:
             return None
         r = _normalize(r)
+        support = _support(r)
         # keep existing rows reduced against the new pivot
         for c in self.pivot_cols:
             stored = self.rows[c]
             if stored[col]:
-                self.rows[c] = _normalize(_cross_eliminate(stored, r, col))
+                self.rows[c] = _normalize(_cross_eliminate(stored, r, col, support))
+                self._supports.pop(c, None)
         self.rows[col] = r
+        self._supports[col] = support
         self.pivot_cols.append(col)
         self.pivot_cols.sort()
         return col

@@ -85,11 +85,24 @@ class HypersurfaceRing:
         return cached
 
     def coefficient_vector(self, p: Poly, d: int) -> list[Number]:
-        """Coordinates of normal_form(p) over degree_basis(d)."""
-        nf = self.normal_form(p)
-        if nf.coeffs and nf.homogeneous_degree() != d:
-            raise ValueError("degree mismatch")
-        return [nf.coeffs.get(m, 0) for m in self.degree_basis(d)]
+        """Coordinates of normal_form(p) over degree_basis(d), for any p of
+        degree d; see `coordinates`."""
+        return self.coordinates(self.normal_form(p), d)
+
+    def coordinates(self, nf: Poly, d: int) -> list[Number]:
+        """Coordinates over degree_basis(d) of a polynomial already in normal
+        form, read without reducing it again.
+
+        Raises ValueError unless every term of `nf` is a basis monomial of
+        degree d, which rejects both a wrong degree and an unreduced input.
+        """
+        coeffs = nf.coeffs
+        vec = [coeffs.get(m, 0) for m in self.degree_basis(d)]
+        # the polynomial keeps no zero terms, so each of its terms is read
+        # exactly when it lands in the basis
+        if len(vec) - vec.count(0) != len(coeffs):
+            raise ValueError(f"degree mismatch: not a normal form of degree {d}")
+        return vec
 
     def from_vector(self, d: int, vec: Sequence[Number]) -> Poly:
         basis = self.degree_basis(d)

@@ -2,6 +2,7 @@
 dimension cross-checks, the degree-9 form, quartic products, and base
 locus certificates."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -232,9 +233,9 @@ class TestExport:
         assert doc["base_locus"]["m5"]["verdict"] == "EMPTY"
         assert doc["fourcanonical_second_differences"] == [20, 16, 15]
 
-    def test_truncated_horizon_skips_relations(self):
-        short = Pipeline(load_instance(), max_degree=5)
-        doc = short.export_presentation()
+    def test_truncated_horizon_skips_relations(self, canring_truncated):
+        # the structured canring document is export_presentation plus checks
+        doc = json.loads(canring_truncated[1])
         assert doc["relations"] == {"status": "SKIPPED",
                                     "reason": "max degree below 10"}
         assert doc["generators"]["computed"]["degrees"] == GENERATOR_DEGREES

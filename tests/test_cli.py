@@ -34,9 +34,8 @@ class TestCanring:
         assert doc["relations"]["total"] == 54
         assert all(c["status"] == "OK" for c in doc["checks"])
 
-    def test_truncated_horizon_skips_relations(self, capsys):
-        code, out, _ = run_cli(capsys, "canring", "--max-degree", "5",
-                               "--format", "structured")
+    def test_truncated_horizon_skips_relations(self, canring_truncated):
+        code, out = canring_truncated
         assert code == 0
         doc = json.loads(out)
         assert doc["relations"]["status"] == "SKIPPED"

@@ -1,16 +1,25 @@
 """Exact linear algebra: fixed examples plus randomized structural checks.
 
-Random matrices use a seeded Random instance so failures reproduce.
+Random matrices use a seeded Random instance so failures reproduce.  The
+oracle tests at the end compare the elimination kernel with a dense
+reference elimination; they run Hypothesis derandomized, so they reproduce
+too.
 """
 
 import random
+from copy import deepcopy
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godeaux.linalg import (
     Echelon,
     SpanBuilder,
+    _cross_eliminate,
+    _support,
     det_int,
     kernel_basis,
     mat_mul_int,
@@ -264,3 +273,184 @@ class TestDet:
             a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             assert det_int(mat_mul_int(a, b)) == det_int(a) * det_int(b)
+
+
+# -- oracle tests for the elimination kernel --------------------------------
+#
+# The reference below is a textbook Gauss-Jordan elimination over Fraction
+# that updates every entry; it shares no code with godeaux.linalg.
+
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+# mostly zeros, as in the product matrices the kernel serves
+NONZERO = st.integers(-6, 6).filter(bool)
+INT_ENTRY = st.tuples(st.integers(0, 9), NONZERO).map(lambda t: 0 if t[0] < 6 else t[1])
+ENTRY = st.tuples(st.integers(0, 9), NONZERO, st.sampled_from([1, 1, 2, 3, 5])).map(
+    lambda t: 0 if t[0] < 6 else (t[1] if t[2] == 1 else F(t[1], t[2])))
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=8):
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols),
+                         max_size=max_rows))
+    return rows, ncols
+
+
+def reference_rref(rows, ncols):
+    """Nonzero rows of the RREF and the pivot columns."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], tuple(pivots)
+
+
+def reference_kernel(rows, ncols):
+    reduced, pivots = reference_rref(rows, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[j] = F(1)
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[j]
+        basis.append(vec)
+    return basis
+
+
+def primitive(row):
+    """The integer multiple of a Fraction row with content 1 and the sign of
+    its first nonzero entry."""
+    den = lcm(*(F(x).denominator for x in row))
+    ints = [int(F(x) * den) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def dense_cross_eliminate(row, prow, col):
+    """The full-width update: every entry of p*row - a*prow, content-reduced."""
+    g = gcd(prow[col], row[col])
+    mp, ma = prow[col] // g, row[col] // g
+    out = [mp * x - ma * y for x, y in zip(row, prow)]
+    c = gcd(*out)
+    return [x // c for x in out] if c > 1 else out
+
+
+@st.composite
+def cross_cases(draw):
+    """A row, a pivot row and a column where both are nonzero, with the
+    pivot multiplier p/gcd(p, a) drawn as 1, -1 or something else."""
+    n = draw(st.integers(1, 9))
+    row = draw(st.lists(INT_ENTRY, min_size=n, max_size=n))
+    prow = draw(st.lists(INT_ENTRY, min_size=n, max_size=n))
+    col = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["one", "minus_one", "other"]))
+    k = draw(NONZERO)
+    p = draw(st.integers(1, 7))
+    if kind == "one":
+        prow[col], row[col] = p, p * k
+    elif kind == "minus_one":
+        prow[col], row[col] = -p, -p * k
+    else:
+        p += 1
+        prow[col], row[col] = p, p * k + 1
+    return kind, row, prow, col
+
+
+class TestKernelOracle:
+    @ORACLE
+    @given(cross_cases())
+    def test_cross_eliminate_matches_dense(self, case):
+        kind, row, prow, col = case
+        before = (row[:], prow[:])
+        support = _support(prow)
+        assert support == [(j, y) for j, y in enumerate(prow) if y]
+        out = _cross_eliminate(row, prow, col, support)
+        assert out == dense_cross_eliminate(row, prow, col)
+        assert out[col] == 0
+        assert (row, prow) == before
+        g = gcd(prow[col], row[col])
+        assert {"one": 1, "minus_one": -1}.get(kind, prow[col]) == prow[col] // g
+
+    @ORACLE
+    @given(matrices())
+    def test_echelon_and_rref(self, matrix):
+        rows, ncols = matrix
+        before = deepcopy(rows)
+        reduced, pivots = reference_rref(rows, ncols)
+        echelon = Echelon(rows, ncols)
+        assert echelon.rank == len(pivots)
+        assert echelon.pivot_columns == pivots
+        assert echelon.kernel() == reference_kernel(rows, ncols)
+        res = rref(rows, ncols)
+        zero = [F(0)] * ncols
+        assert res.rows == reduced + [zero] * (len(rows) - len(reduced))
+        assert (res.pivot_columns, res.rank) == (pivots, len(pivots))
+        assert rows == before
+
+    @ORACLE
+    @given(matrices(max_rows=5), st.data())
+    def test_membership(self, matrix, data):
+        vectors, width = matrix
+        target = data.draw(st.lists(ENTRY, min_size=width, max_size=width))
+        if vectors and data.draw(st.booleans()):
+            # a target inside the span, to reach the solving branch
+            weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
+                                         max_size=len(vectors)))
+            target = [sum(w * F(v[i]) for w, v in zip(weights, vectors))
+                      for i in range(width)]
+        before = deepcopy((target, vectors))
+        # reference: columns are the vectors, then the target
+        n = len(vectors)
+        augmented = [[F(v[i]) for v in vectors] + [F(target[i])] for i in range(width)]
+        reduced, pivots = reference_rref(augmented, n + 1)
+        if n in pivots:
+            expected = None
+        else:
+            expected = [F(0)] * n
+            for row, c in zip(reduced, pivots):
+                expected[c] = row[n]
+        assert membership(target, vectors) == expected
+        assert (target, vectors) == before
+
+    @ORACLE
+    @given(matrices(max_rows=8), st.randoms(use_true_random=False))
+    def test_span_builder(self, matrix, rnd):
+        rows, ncols = matrix
+        order = rows[:]
+        rnd.shuffle(order)
+        reduced, pivots = reference_rref(rows, ncols)
+        for sequence in (rows, order):
+            sb = SpanBuilder(ncols)
+            seen = []
+            rank = 0
+            for row in sequence:
+                before = deepcopy(row)
+                got = sb.insert(row)
+                assert row == before
+                seen.append(row)
+                grown = len(reference_rref(seen, ncols)[1])
+                assert (got is not None) == (grown > rank)
+                rank = grown
+                for c, support in sb._supports.items():
+                    assert support == _support(sb.rows[c])
+            assert sb.rank == len(pivots)
+            assert sorted(sb.pivot_cols) == list(pivots)
+            assert [sb.rows[c] for c in pivots] == [primitive(r) for r in reduced]
+            for row in rows:
+                assert sb.contains(row)
+                assert not any(sb.residual(row))
+            for c, support in sb._supports.items():
+                assert support == _support(sb.rows[c])

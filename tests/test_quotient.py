@@ -148,6 +148,29 @@ class TestVectors:
         p = quotient.from_vector(6, vec)
         assert p == quotient.normal_form(parse_poly("z^2", ring))
 
+    def test_coordinates_agree_on_normal_forms(self, quotient, ring):
+        rng = random.Random(66)
+        monos = {d: ring.monomials(d) for d in range(9)}
+        for _ in range(40):
+            d = rng.randrange(9)
+            p = Poly(ring, {m: rng.randint(-3, 3) for m in monos[d]
+                            if rng.randrange(3) == 0})
+            nf = quotient.normal_form(p)
+            assert quotient.coordinates(nf, d) == quotient.coefficient_vector(p, d)
+
+    def test_coordinates_reject_reducible_monomial(self, quotient, ring):
+        # z^2 has degree 6 but is not a basis monomial: the input is unreduced
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.coordinates(parse_poly("z^2 + x1^6", ring), 6)
+
+    def test_coordinates_reject_wrong_degree(self, quotient, ring):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.coordinates(parse_poly("x1*y", ring), 4)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.coefficient_vector(parse_poly("x1*y", ring), 4)
+        # the zero polynomial lies in every degree
+        assert quotient.coordinates(Poly(ring, {}), 2) == [0] * len(quotient.degree_basis(2))
+
     def test_multiply_reduces(self, quotient, ring):
         z = ring.variable("z")
         prod = quotient.normal_form(z * z)
