@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
@@ -38,12 +39,13 @@ def _strip(beta: Sequence[int]) -> tuple[int, ...]:
 
 class _ProductCache:
     """Monomial products of a fixed (growable) element list, each product
-    built from a cached one by one multiplication and then passed through
-    `reduce` when given (a normal form, say)."""
+    built from a cached one and one element by a single call of `multiply`
+    (plain multiplication, or `HypersurfaceRing.multiply` for products in
+    normal form in S/f)."""
 
-    def __init__(self, elements: list, one, reduce=None):
+    def __init__(self, elements: list, one, multiply=mul):
         self.elements = elements
-        self.reduce = reduce
+        self.multiply = multiply
         self.cache: dict[tuple[int, ...], object] = {(): one}
 
     def get(self, beta: Sequence[int]):
@@ -51,9 +53,7 @@ class _ProductCache:
         got = self.cache.get(key)
         if got is None:
             i = len(key) - 1
-            got = self.get(key[:i] + (key[i] - 1,)) * self.elements[i]
-            if self.reduce is not None:
-                got = self.reduce(got)
+            got = self.multiply(self.get(key[:i] + (key[i] - 1,)), self.elements[i])
             self.cache[key] = got
         return got
 
@@ -92,14 +92,15 @@ class Pipeline:
 
     Monomial products of an element list are built once each by a
     `_ProductCache`: the residues of the ambient variables for the descent,
-    and generator lists in S/f for everything else.  Every product matrix,
-    the products of a generator list as vectors in one graded piece of S/f,
-    is built and eliminated once by `_image`, and its `Echelon` answers the
-    questions asked of it: the rank, the pivot columns (the greedy choice of
-    independent products, used for new generators and spanning checks), the
-    kernel (relations), and solutions restricted to the pivot columns
-    (base-locus certificates).  The images of the reference generators are
-    shared by `verify_reference` and `relations`.
+    and generator lists in S/f for everything else, where
+    `HypersurfaceRing.multiply` returns each product in normal form.  Every
+    product matrix, the products of a generator list as vectors in one
+    graded piece of S/f, is built and eliminated once by `_image`, and its
+    `Echelon` answers the questions asked of it: the rank, the pivot columns
+    (the greedy choice of independent products, used for new generators and
+    spanning checks), the kernel (relations), and solutions restricted to
+    the pivot columns (base-locus certificates).  The images of the
+    reference generators are shared by `verify_reference` and `relations`.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -122,7 +123,7 @@ class Pipeline:
 
     def _products(self, elements: list[Poly]) -> _ProductCache:
         """Products of `elements` in S/f, each in normal form."""
-        return _ProductCache(elements, self.ring.one(), self.quotient.normal_form)
+        return _ProductCache(elements, self.ring.one(), self.quotient.multiply)
 
     def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
                extra: Sequence[Sequence[Number]] = ()) -> tuple[list[list[Number]], Echelon]:

@@ -4,7 +4,8 @@ Everything here is exact: entries are Python ints or fractions.Fraction, never
 floats, and there are no tolerances.  The elimination engine clears
 denominators row by row and works on integer rows with cross-multiplication
 updates; after every update the row is divided by its content (gcd of the
-entries, computed with an early exit) so entries stay small in practice.
+entries, computed with an early exit, and read from the updated entries
+alone when their gcd is 1) so entries stay small in practice.
 
 Pivot rows are mostly zeros, so an update scales the row being reduced and
 then subtracts only at the pivot row's nonzero entries (its support, listed
@@ -97,8 +98,15 @@ def _cross_eliminate(row: list[int], prow: list[int], col: int,
         out = [-x for x in row]
     else:
         out = [mp * x for x in row]
+    # the content divides the gcd of the updated entries, so a gcd of 1
+    # there settles it without scanning the rest of the row
+    g = 0
     for j, y in support:
-        out[j] -= ma * y
+        v = out[j] - ma * y
+        out[j] = v
+        g = gcd(g, v)
+    if g == 1:
+        return out
     return _reduce_content(out)
 
 

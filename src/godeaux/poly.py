@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
 from .linalg import Number
@@ -159,7 +160,7 @@ class Poly:
         out: dict[Monomial, Number] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 out[mono] = out.get(mono, 0) + c1 * c2
         return Poly(self.ring, out)
 

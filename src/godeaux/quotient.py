@@ -8,6 +8,8 @@ ideal arithmetic lives here.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Sequence
 
 from .linalg import Number
@@ -30,7 +32,17 @@ class HypersurfaceRing:
             raise ValueError("modulus must be homogeneous")
         self.ambient = ambient
         self.modulus = modulus
-        self.lead = modulus.leading_monomial()
+        self.lead = lead = modulus.leading_monomial()
+        lc = modulus.coeffs[lead]
+        # lead = -(tail)/lc modulo the modulus: a rewrite adds coeff * tc at
+        # shift * tm for each (tm, tc) here
+        self._rewrite = []
+        for m, c in modulus.coeffs.items():
+            if m != lead:
+                q = -Fraction(c) / lc
+                self._rewrite.append((m, q.numerator if q.denominator == 1 else q))
+        # the only exponents a reducibility test has to compare
+        self._lead_exponents = tuple((i, e) for i, e in enumerate(lead) if e)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
 
     def __repr__(self) -> str:
@@ -39,41 +51,64 @@ class HypersurfaceRing:
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative: remainder of division by the modulus.
 
-        The remainder of single-divisor division is order-canonical, so this
-        batched rewrite (all reducible terms per round) returns the same
-        polynomial as poly.divide while touching each term far fewer times.
+        Equal to the remainder of poly.divide(p, [modulus]); see `_reduce`.
         """
         if p.ring != self.ambient:
             raise ValueError("polynomial from a different ring")
+        return self._reduce(dict(p.coeffs))
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        """normal_form(a * b), reducing the product as it is accumulated
+        rather than building it as a Poly first."""
+        if a.ring != self.ambient or b.ring != self.ambient:
+            raise ValueError("polynomial from a different ring")
+        work: dict[Monomial, Number] = {}
+        get = work.get
+        for m1, c1 in a.coeffs.items():
+            for m2, c2 in b.coeffs.items():
+                mono = tuple(map(add, m1, m2))
+                work[mono] = get(mono, 0) + c1 * c2
+        return self._reduce(work)
+
+    def _reduce(self, work: dict[Monomial, Number]) -> Poly:
+        """Reduce `work` (consumed) modulo the modulus in one worklist pass.
+
+        A single divisor is its own Groebner basis, so the remainder does not
+        depend on the order of the rewrites.  Every reducible monomial of
+        the input is scheduled once, zero coefficients included, and a
+        rewrite schedules only the reducible targets new to `work`.  The
+        largest pending monomial goes first: a rewrite keeps the degree and
+        lands below its source, and within one degree the monomial order
+        compares reversed exponent tuples, so no monomial gains a term after
+        its turn and each is rewritten at most once.
+        """
+        reducible = self._reducible
         lead = self.lead
-        lc = self.modulus.coeffs[lead]
-        tail = [(m, c) for m, c in self.modulus.coeffs.items() if m != lead]
-        work = dict(p.coeffs)
-        while True:
-            reducible = [m for m in work if self._reducible(m)]
-            if not reducible:
-                return Poly(self.ambient, work)
-            # a rewrite can feed another monomial in this same batch, so pop
-            # live values rather than trusting the snapshot's coefficients
-            for mono in reducible:
-                coeff = work.pop(mono, 0)
-                if not coeff:
-                    continue
-                if isinstance(coeff, int) and isinstance(lc, int) and coeff % lc == 0:
-                    factor: Number = coeff // lc
+        rewrite = self._rewrite
+        pending = [(tuple(map(neg, m[::-1])), m) for m in work if reducible(m)]
+        heapify(pending)
+        while pending:
+            mono = heappop(pending)[1]
+            coeff = work.pop(mono)
+            if not coeff:
+                continue
+            shift = tuple(map(sub, mono, lead))
+            for tm, tc in rewrite:
+                tgt = tuple(map(add, shift, tm))
+                old = work.get(tgt)
+                if old is None:
+                    work[tgt] = coeff * tc
+                    if reducible(tgt):
+                        heappush(pending, (tuple(map(neg, tgt[::-1])), tgt))
                 else:
-                    factor = Fraction(coeff) / Fraction(lc)
-                shift = tuple(a - b for a, b in zip(mono, lead))
-                for tm, tc in tail:
-                    tgt = tuple(a + b for a, b in zip(shift, tm))
-                    nc = work.get(tgt, 0) - factor * tc
-                    if nc:
-                        work[tgt] = nc
-                    else:
-                        work.pop(tgt, None)
+                    work[tgt] = old + coeff * tc
+        return Poly(self.ambient, work)
 
     def _reducible(self, mono: Monomial) -> bool:
-        return all(a >= b for a, b in zip(mono, self.lead))
+        for i, e in self._lead_exponents:
+            if mono[i] < e:
+                return False
+        return True
 
     def degree_basis(self, d: int) -> tuple[Monomial, ...]:
         if d < 0:

@@ -74,6 +74,7 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["ok"]
         assert len(doc["members"]) == 13
+        assert out.encode() == (GOLDEN / "verify-paper-generators.json").read_bytes()
 
     def test_base_locus(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "base-locus",
@@ -82,6 +83,7 @@ class TestVerify:
         doc = json.loads(out)
         verdicts = {m: doc["reports"][m]["verdict"] for m in ("m2", "m3", "m5")}
         assert verdicts == {"m2": "NONEMPTY", "m3": "EMPTY", "m5": "EMPTY"}
+        assert out.encode() == (GOLDEN / "verify-base-locus.json").read_bytes()
 
     def test_base_locus_undecided_exit(self, capsys, tmp_path):
         raw = load_raw("godeaux.json")

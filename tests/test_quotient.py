@@ -5,10 +5,13 @@ expanded independently of the enumeration code.
 """
 
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from godeaux.poly import Poly, WeightedRing, parse_poly
+from godeaux.poly import Poly, WeightedRing, divide, parse_poly
 from godeaux.quotient import HypersurfaceRing
 
 
@@ -176,3 +179,85 @@ class TestVectors:
         prod = quotient.normal_form(z * z)
         assert prod == quotient.normal_form(parse_poly("z^2", ring))
         assert all(m[3] <= 1 for m in prod.coeffs)
+
+
+# -- oracle: the worklist reduction against generic division -------------
+
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+ORACLE_RING = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 3])
+ORACLE_MODULI = {
+    # the shipped modulus, leading monomial z^2
+    "shipped": "z^2+y^3-(x1-x2)*y*z+x1^5*x2+x1*x2^5",
+    # leading monomial y*z, so a reducibility test compares two exponents
+    "two-variable-lead": "y*z+x1^2*z-x2*y^2+x1^5-2*x1*x2^4",
+    # leading coefficient 3, so rewrites divide and coefficients are Fractions
+    "non-unit-lead": "3*z^2-2*y^3+x1*x2*y^2+5*x1^6",
+}
+
+MONOMIAL = st.tuples(*[st.integers(0, 2)] * 4)
+COEFF = st.one_of(st.integers(-4, 4).filter(bool),
+                  st.builds(F, st.integers(-4, 4).filter(bool), st.integers(2, 3)))
+
+
+def oracle_poly(terms):
+    return Poly(ORACLE_RING, dict(terms))
+
+
+POLYS = st.lists(st.tuples(MONOMIAL, COEFF), max_size=4).map(oracle_poly)
+
+
+def cancelling_factors(data, quotient):
+    """Factors whose raw product holds a reducible monomial X with
+    coefficient 0, which the rewrite of a larger product term adds to again.
+
+    With lead the leading monomial, tm another term of the modulus and S any
+    monomial making X = S*tm reducible, take B = X/lead.  Then
+    (S + B) * (lead - tm) = S*lead - X + X - B*tm: X cancels, and the
+    rewrite of S*lead lands on S*tm = X.  A few more terms ride along.
+    """
+    lead = quotient.lead
+    tm = data.draw(st.sampled_from(sorted(m for m in quotient.modulus.coeffs if m != lead)))
+    s = tuple(e + max(l - t, 0) for e, l, t in zip(data.draw(MONOMIAL), lead, tm))
+    x = tuple(map(sum, zip(s, tm)))
+    b = tuple(xe - le for xe, le in zip(x, lead))
+    c = data.draw(COEFF)
+    extra = st.lists(st.tuples(MONOMIAL, COEFF), max_size=2).map(oracle_poly)
+    left = Poly(ORACLE_RING, {s: c}) + Poly(ORACLE_RING, {b: c})
+    right = Poly(ORACLE_RING, {lead: 1, tm: -1})
+    return left + data.draw(extra), right + data.draw(extra)
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_MODULI))
+def oracle_quotient(request):
+    f = parse_poly(ORACLE_MODULI[request.param], ORACLE_RING)
+    return HypersurfaceRing(ORACLE_RING, f)
+
+
+class TestReductionOracle:
+    def test_moduli_cover_the_cases(self):
+        quotients = {name: HypersurfaceRing(ORACLE_RING, parse_poly(text, ORACLE_RING))
+                     for name, text in ORACLE_MODULI.items()}
+        assert quotients["shipped"].lead == (0, 0, 0, 2)
+        assert quotients["two-variable-lead"].lead == (0, 0, 1, 1)
+        unit = quotients["non-unit-lead"]
+        assert unit.modulus.coeffs[unit.lead] == 3
+
+    @ORACLE
+    @given(POLYS)
+    def test_normal_form_matches_divide(self, oracle_quotient, p):
+        _, remainder = divide(p, [oracle_quotient.modulus])
+        assert oracle_quotient.normal_form(p) == remainder
+
+    @ORACLE
+    @given(POLYS, POLYS)
+    def test_multiply_matches_divide(self, oracle_quotient, a, b):
+        _, remainder = divide(a * b, [oracle_quotient.modulus])
+        assert oracle_quotient.multiply(a, b) == remainder
+
+    @ORACLE
+    @given(st.data())
+    def test_multiply_with_cancelled_reducible_term(self, oracle_quotient, data):
+        a, b = cancelling_factors(data, oracle_quotient)
+        _, remainder = divide(a * b, [oracle_quotient.modulus])
+        assert oracle_quotient.multiply(a, b) == remainder
