@@ -104,8 +104,6 @@ class Pipeline:
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
-        if max_degree < 2:
-            raise ValueError("max_degree must be at least 2")
         self.instance = instance
         self.max_degree = max_degree
         self.quotient = instance.quotient

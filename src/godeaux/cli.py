@@ -4,9 +4,11 @@ Subcommands: canring (generators, relations, dimension triple), verify
 (one published value at a time), topology (homology and fundamental
 group of the glued surface), defcalc (glueing sheaf degrees).
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error, 3 an
-UNDECIDED certificate.  Structured output is a canonical JSON document
-with sorted keys, byte-identical across runs.
+Exit codes: 0 success, 1 verification mismatch, 2 input error (a data
+file's loader or a flag check refused the input), 3 an UNDECIDED
+certificate.  Any other exception is a program fault and keeps its
+traceback.  Structured output is a canonical JSON document with sorted
+keys, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,16 +21,13 @@ from typing import Optional, Sequence
 from . import defcalc as defcalc_mod
 from . import topology as topology_mod
 from .canring import Pipeline
-from .instance import InstanceError, load_instance
-from .poly import PolyParseError
+from .datafile import InputError
+from .instance import load_instance
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
-
-INPUT_ERRORS = (InstanceError, PolyParseError, OSError,
-                json.JSONDecodeError, ValueError, KeyError)
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
@@ -61,16 +60,17 @@ def _check_lines(checks: Sequence[dict]) -> list[str]:
     return lines
 
 
-def _pipeline(args) -> Pipeline:
-    instance = load_instance(args.instance)
-    return Pipeline(instance, max_degree=args.max_degree)
+def _pipeline(path: Optional[str], max_degree: int = 12) -> Pipeline:
+    if max_degree < 2:
+        raise InputError(f"--max-degree must be at least 2, got {max_degree}")
+    return Pipeline(load_instance(path), max_degree=max_degree)
 
 
 # -- canring -------------------------------------------------------------
 
 
 def _run_canring(args) -> tuple[int, dict, list[str]]:
-    pipe = _pipeline(args)
+    pipe = _pipeline(args.instance, args.max_degree)
     expected = pipe.instance.expected
     doc = pipe.export_presentation()
 
@@ -190,15 +190,12 @@ def _run_verify_reference(pipe: Pipeline) -> tuple[int, dict, list[str]]:
     return code, doc, lines
 
 
+_VERIFY = {"tricanonical": _run_verify_tricanonical, "base-locus": _run_verify_base_locus,
+           "fourcanonical": _run_verify_fourcanonical, "paper-generators": _run_verify_reference}
+
+
 def _run_verify(args) -> tuple[int, dict, list[str]]:
-    pipe = _pipeline(args)
-    if args.target == "tricanonical":
-        return _run_verify_tricanonical(pipe)
-    if args.target == "base-locus":
-        return _run_verify_base_locus(pipe)
-    if args.target == "fourcanonical":
-        return _run_verify_fourcanonical(pipe)
-    return _run_verify_reference(pipe)
+    return _VERIFY[args.target](_pipeline(args.instance))
 
 
 # -- topology ------------------------------------------------------------
@@ -216,8 +213,7 @@ def _run_topology(args) -> tuple[int, dict, list[str]]:
     homology = topology_mod.homology(data["chain_model"])
     sequence = topology_mod.mayer_vietoris_solve(data["mayer_vietoris"])
     abelian = topology_mod.abelianization(data["presentation"])
-    budget = int(expected.get("tietze_budget", 1000))
-    certificate = topology_mod.tietze_trivialize(data["presentation"], budget)
+    certificate = topology_mod.tietze_trivialize(data["presentation"])
     replay_ok = False
     if certificate["status"] == "TRIVIAL":
         final = topology_mod.replay_certificate(data["presentation"],
@@ -317,21 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "for a glued stable surface.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, graded: bool = False):
+    def common(sp):
         sp.add_argument("--instance", metavar="FILE",
                         help="instance or data file (default: bundled)")
-        if graded:
-            sp.add_argument("--max-degree", dest="max_degree", type=int, default=12,
-                            metavar="N", help="degree horizon (default 12)")
         sp.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output style")
 
-    common(sub.add_parser(
-        "canring", help="generators, relations and the dimension triple"), graded=True)
+    canring = sub.add_parser("canring", help="generators, relations and the dimension triple")
+    canring.add_argument("--max-degree", dest="max_degree", type=int, default=12,
+                         metavar="N", help="degree horizon (default 12)")
+    common(canring)
     verify = sub.add_parser("verify", help="check one published value")
-    verify.add_argument("target", choices=("tricanonical", "base-locus",
-                                           "fourcanonical", "paper-generators"))
-    common(verify, graded=True)
+    verify.add_argument("target", choices=tuple(_VERIFY))
+    common(verify)
     common(sub.add_parser(
         "topology", help="homology and fundamental group of the glued surface"))
     common(sub.add_parser(
@@ -351,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, lines = _DISPATCH[args.command](args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "structured":

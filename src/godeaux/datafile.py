@@ -1,0 +1,56 @@
+"""The input boundary: the one place a data file is read and decoded.
+
+`load` runs a module's builder on the decoded top-level object.  Builders
+type-check every field a command reads and raise KeyError, TypeError or
+ValueError on what they refuse; `load` reports those, and any failure to
+read or decode the file, as one InputError naming the file.
+"""
+
+import json
+from importlib import resources
+from pathlib import Path
+from typing import Callable, Optional, TypeVar
+
+T = TypeVar("T")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               bool: "true or false"}
+_REQUIRED = object()
+
+
+class InputError(Exception):
+    """A data file or flag value the program refuses (exit status 2)."""
+
+
+def typed(value, kind: type, where: str):
+    """`value` if it has the JSON type `kind` (a bool is no int), else a TypeError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        found = "null" if value is None else _JSON_TYPES.get(type(value), "a number")
+        raise TypeError(f"{where} must be {_JSON_TYPES[kind]}, not {found}")
+    return value
+
+
+def get(obj: dict, key: str, kind: type, where: str = "", default=_REQUIRED, of=None):
+    """Field `key` of `obj`, of type `kind` and, given `of`, with items of that
+    type; errors name its dotted path.  A missing field is `default` if given."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise KeyError(path)
+        return default
+    value = typed(obj[key], kind, path)
+    if of is not None:
+        for name, item in value.items() if kind is dict else enumerate(value):
+            typed(item, of, f"{path}.{name}")
+    return value
+
+
+def load(name: str, path: Optional[str], build: Callable[[dict], T]) -> T:
+    """Build from the file at `path`, or from the bundled data file `name`."""
+    source = name if path is None else path
+    try:
+        file = resources.files("godeaux.data").joinpath(name) if path is None else Path(path)
+        return build(typed(json.loads(file.read_text(encoding="utf-8")), dict, "the top level"))
+    except KeyError as exc:
+        raise InputError(f"{source}: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise InputError(f"{source}: {getattr(exc, 'strerror', None) or exc}") from exc

@@ -9,10 +9,10 @@ intersection numbers, plus an elementary section-count bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
+
+from .datafile import get, load, typed
 
 # A degree-1 del Pezzo surface is the plane blown up in eight general
 # points; its first-order deformations move exactly those eight points.
@@ -109,22 +109,23 @@ def config_from_dict(raw: dict) -> GluedCurveConfig:
     for comp in raw["components"]:
         branches = tuple(BranchData(b["degree"], b["node_preimages"])
                          for b in comp["branches"])
-        components.append(CurveComponent(comp["name"], branches))
-    return GluedCurveConfig(raw["name"], tuple(components))
+        components.append(CurveComponent(typed(comp["name"], str, "component name"), branches))
+    return GluedCurveConfig(typed(raw["name"], str, "config name"), tuple(components))
+
+
+def _build(raw: dict) -> dict:
+    configs = [config_from_dict(c) for c in raw["configs"]]
+    expected = [get(c, "expected_degrees", dict, "configs[*]", None, of=int)
+                for c in raw["configs"]]
+    cases = get(raw, "section_bounds", list, default=[])
+    for case in cases:
+        for key in ("degree", "arithmetic_genus"):
+            get(typed(case, dict, "section_bounds[*]"), key, int, "section_bounds[*]")
+        get(case, "expected", int, "section_bounds[*]", None)
+    return {"configs": configs, "expected_degrees": expected, "section_bounds": cases,
+            "deformation_dimension": get(raw, "deformation_dimension", int, default=None)}
 
 
 def load_defcalc_data(path: Optional[str] = None) -> dict:
     """Parse the bundled (or a user-supplied) configuration file."""
-    if path is None:
-        text = resources.files("godeaux.data").joinpath("defcalc.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    raw = json.loads(text)
-    configs = [config_from_dict(c) for c in raw["configs"]]
-    return {
-        "configs": configs,
-        "expected_degrees": [c.get("expected_degrees") for c in raw["configs"]],
-        "section_bounds": raw.get("section_bounds", []),
-        "deformation_dimension": raw.get("deformation_dimension"),
-    }
+    return load("defcalc.json", path, _build)

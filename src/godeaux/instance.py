@@ -6,18 +6,13 @@ overridden by pointing the loader at another JSON file of the same shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
+from .datafile import get, load, typed
 from .poly import Poly, WeightedRing, parse_poly
 from .quotient import HypersurfaceRing
-from .residue import CurveElement, CurveRing, ResidueMap, TauSubring
-
-
-class InstanceError(ValueError):
-    """Malformed instance file."""
+from .residue import CurveRing, ResidueMap, TauSubring
 
 
 @dataclass(frozen=True)
@@ -31,99 +26,94 @@ class Witness:
     coords: tuple[Poly, ...]
 
 
-def _parse_witness(key: str, cfg: dict, nvars: int) -> Witness:
+def _checked_expected(raw: dict) -> dict:
+    """The block of published values the checks compare with, type-checked."""
+    exp = get(raw, "expected", dict, default={})
+    for key, kind, of in (("generator_degrees", list, int), ("relation_degrees", dict, int),
+                          ("surface_invariants", dict, int), ("base_locus", dict, str),
+                          ("codimension", int, None), ("fourcanonical_second_difference", int, None)):
+        get(exp, key, kind, "expected", None, of)
+    return exp
+
+
+def _parse_witness(key: str, cfg, nvars: int) -> Witness:
     where = f"base_locus.witnesses.{key}"
+    text = get(typed(cfg, dict, where), "extension_minimal_polynomial", str, where)
+    point = get(cfg, "point", list, where)
+    if len(point) != nvars:
+        raise ValueError(f"{where}: the point must list one coordinate per ring "
+                         f"variable ({nvars}), got {point!r}")
     tring = WeightedRing(["t"], [1])
     try:
-        text, point = cfg["extension_minimal_polynomial"], cfg["point"]
-        if not isinstance(point, list) or len(point) != nvars:
-            raise InstanceError(f"the point must list one coordinate per ring variable "
-                                f"({nvars}), got {point!r}")
         mu = parse_poly(text, tring)
-        coords = tuple(parse_poly(c, tring) for c in point)
-    except KeyError as exc:
-        raise InstanceError(f"{where}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{where}: {exc}") from exc
+        coords = tuple(parse_poly(typed(c, str, f"{where}.point"), tring) for c in point)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
     if (mu.degree() or 0) < 1:
-        raise InstanceError(f"{where}: the minimal polynomial must have degree at least 1")
+        raise ValueError(f"{where}: the minimal polynomial must have degree at least 1")
     return Witness(text, tuple(point), mu, coords)
+
+
+def _pair(value, where: str) -> list:
+    if len(typed(value, list, where)) != 2:
+        raise ValueError(f"{where} must be a pair")
+    return value
 
 
 class Instance:
     """Everything the pipeline needs, parsed and cross-validated."""
 
     def __init__(self, raw: dict):
-        try:
-            self._build(raw)
-        except InstanceError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(f"bad instance file: {exc}") from exc
-
-    def _build(self, raw: dict):
-        self.name = raw.get("name", "unnamed")
+        self.name = get(raw, "name", str, default="unnamed")
         ring_cfg = raw["ring"]
         self.ring = WeightedRing(ring_cfg["names"], ring_cfg["weights"])
-        modulus = parse_poly(raw["modulus"], self.ring)
+        modulus = parse_poly(get(raw, "modulus", str), self.ring)
         self.quotient = HypersurfaceRing(self.ring, modulus)
 
-        factors = raw["curve_factors"]
-        if len(factors) != 2 or any(len(f) != 2 for f in factors):
-            raise InstanceError("curve_factors must be two pairs of names")
-        self.curve = CurveRing(factors[0], factors[1])
-
-        images_cfg = raw["residue_images"]
-        if len(images_cfg) != self.ring.n:
-            raise InstanceError("one residue image per ring variable required")
-        images = [self.curve.element(first, second) for first, second in images_cfg]
+        factors = _pair(get(raw, "curve_factors", list), "curve_factors")
+        self.curve = CurveRing(*(_pair(f, "curve_factors[*]") for f in factors))
+        images = [self.curve.element(*_pair(pair, "residue_images[*]"))
+                  for pair in get(raw, "residue_images", list)]
         self.residue = ResidueMap(self.quotient, self.curve, images)
-
-        tau_cfg = raw["tau_generators"]
-        if len(tau_cfg) != 2:
-            raise InstanceError("tau_generators must list exactly two elements")
-        u = self.curve.element(*tau_cfg[0])
-        v = self.curve.element(*tau_cfg[1])
+        u, v = (self.curve.element(*_pair(pair, "tau_generators[*]"))
+                for pair in _pair(get(raw, "tau_generators", list), "tau_generators"))
         self.tau = TauSubring(u, v)
 
         self.reference_generators: list[tuple[Poly, int]] = []
         for entry in raw["reference_generators"]:
             p = parse_poly(entry["polynomial"], self.ring)
-            d = entry["degree"]
+            d = get(entry, "degree", int, "reference_generators[*]")
             if p.is_zero or p.homogeneous_degree() != d:
-                raise InstanceError(f"generator {entry['polynomial']!r} is not homogeneous of degree {d}")
+                raise ValueError(f"generator {entry['polynomial']!r} is not homogeneous of degree {d}")
             self.reference_generators.append((p, d))
         degs = [d for _, d in self.reference_generators]
         if degs != sorted(degs):
-            raise InstanceError("reference generators must be listed by ascending degree")
+            raise ValueError("reference generators must be listed by ascending degree")
 
-        tri = raw["tricanonical"]
-        names = tri["variables"]
+        tri = get(raw, "tricanonical", dict)
+        names = get(tri, "variables", list, "tricanonical")
         self.tricanonical_ring = WeightedRing(names, [1] * len(names))
-        self.tricanonical_indices = list(tri["generator_indices"])
-        for i in self.tricanonical_indices:
-            if not 0 <= i < len(self.reference_generators):
-                raise InstanceError("tricanonical generator index out of range")
-        self.tricanonical_reference = parse_poly(tri["reference_form"], self.tricanonical_ring)
+        indices = get(tri, "generator_indices", list, "tricanonical", of=int)
+        if not names or len(indices) != len(names):
+            raise ValueError(f"tricanonical: one generator index per variable required "
+                             f"({len(names)} variables, {len(indices)} indices)")
+        if not all(0 <= i < len(degs) for i in indices):
+            raise ValueError("tricanonical generator index out of range")
+        if len({degs[i] for i in indices}) != 1:
+            raise ValueError("tricanonical: the indexed generators must share one degree")
+        self.tricanonical_indices = indices
+        self.tricanonical_reference = parse_poly(
+            get(tri, "reference_form", str, "tricanonical"), self.tricanonical_ring)
 
-        bl = raw["base_locus"]
-        self.base_locus_bound = int(bl["degree_bound"])
-        self.nonempty_evidence_bound = int(bl["nonempty_evidence_bound"])
-        self.base_locus_witnesses = {int(k): _parse_witness(k, v, self.ring.n)
-                                     for k, v in bl.get("witnesses", {}).items()}
-
-        self.expected = raw.get("expected", {})
+        bl = get(raw, "base_locus", dict)
+        self.base_locus_bound = get(bl, "degree_bound", int, "base_locus")
+        self.nonempty_evidence_bound = get(bl, "nonempty_evidence_bound", int, "base_locus")
+        self.base_locus_witnesses = {
+            int(k): _parse_witness(k, v, self.ring.n)
+            for k, v in get(bl, "witnesses", dict, "base_locus", {}).items()}
+        self.expected = _checked_expected(raw)
 
 
 def load_instance(path: Optional[str] = None) -> Instance:
     """Load an instance file; with no path, the bundled default."""
-    if path is None:
-        text = resources.files("godeaux.data").joinpath("godeaux.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
-    return Instance(raw)
+    return load("godeaux.json", path, Instance)

@@ -321,10 +321,6 @@ class SpanBuilder:
         return col
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
@@ -359,22 +355,9 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    d: list[list[int]]
-    u: list[list[int]]
-    v: list[list[int]]
-
-    @property
-    def diagonal(self) -> list[int]:
-        return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
-    """Smith normal form: u*a*v = d with u, v unimodular.
-
-    The diagonal of d is nonnegative and each entry divides the next.
-    """
+def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Invariant factors of an integer matrix: the diagonal of its Smith
+    normal form, nonnegative, each entry dividing the next."""
     nrows = len(rows)
     a = []
     for r in rows:
@@ -384,32 +367,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
             if not isinstance(x, int):
                 raise TypeError("smith_normal_form needs integer entries")
         a.append(list(r))
-    u = _identity(nrows)
-    v = _identity(ncols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(nrows, ncols)
@@ -423,28 +384,29 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        a[t], a[best[0]] = a[best[0]], a[t]
         swap_cols(t, best[1])
         while True:
             dirty = False
             for i in range(t + 1, nrows):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, ncols):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
+                    for row in a:
+                        row[j] -= q * row[t]
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
             if not dirty:
                 break
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         # enforce divisibility of the rest of the block by the pivot
         p = a[t][t]
         offender = None
@@ -456,7 +418,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> SnfResult:
             if offender is not None:
                 break
         if offender is not None:
-            add_row(offender, t, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         t += 1
-    return SnfResult(a, u, v)
+    return [a[i][i] for i in range(limit)]

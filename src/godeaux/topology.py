@@ -7,11 +7,10 @@ Tietze simplifier that certifies triviality of a group presentation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Optional, Sequence, Union
 
+from .datafile import get, load
 from .linalg import mat_mul_int, rank_of, smith_normal_form
 
 MatrixZ = list[list[int]]
@@ -44,8 +43,8 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise ValueError("free rank must be a nonnegative integer")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for d in self.torsion:
@@ -122,8 +121,7 @@ def homology(c: ChainComplexZ) -> list[AbelianGroup]:
             image_rank = 0
             torsion: tuple[int, ...] = ()
         else:
-            snf = smith_normal_form(c.boundaries[i], c.ranks[i + 1])
-            diag = [d for d in snf.diagonal if d != 0]
+            diag = [d for d in smith_normal_form(c.boundaries[i], c.ranks[i + 1]) if d != 0]
             image_rank = len(diag)
             torsion = tuple(d for d in diag if d > 1)
         out.append(AbelianGroup(cycles - image_rank, torsion))
@@ -171,8 +169,7 @@ def _cokernel(mat: MatrixZ, nrows: int, ncols: int) -> AbelianGroup:
         return AbelianGroup(0)
     if ncols == 0:
         return AbelianGroup(nrows)
-    snf = smith_normal_form(mat, ncols)
-    diag = [d for d in snf.diagonal if d != 0]
+    diag = [d for d in smith_normal_form(mat, ncols) if d != 0]
     return AbelianGroup(nrows - len(diag), tuple(d for d in diag if d > 1))
 
 
@@ -273,8 +270,7 @@ def abelianization(g: GroupPresentation) -> AbelianGroup:
     rows = exponent_matrix(g)
     if not rows or n == 0:
         return AbelianGroup(n)
-    snf = smith_normal_form(rows, n)
-    diag = [d for d in snf.diagonal if d != 0]
+    diag = [d for d in smith_normal_form(rows, n) if d != 0]
     return AbelianGroup(n - len(diag), tuple(d for d in diag if d > 1))
 
 
@@ -463,15 +459,7 @@ def _groups(pairs: Sequence[Sequence]) -> tuple[AbelianGroup, ...]:
     return tuple(AbelianGroup.from_pair(p) for p in pairs)
 
 
-def load_topology_data(path: Optional[str] = None) -> dict:
-    """Parse the bundled (or a user-supplied) topology data file into
-    typed objects plus the raw expectations block."""
-    if path is None:
-        text = resources.files("godeaux.data").joinpath("topology.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    raw = json.loads(text)
+def _build(raw: dict) -> dict:
     model = raw["glued_chain_model"]
     complex_ = ChainComplexZ(model["ranks"], model["boundaries"])
     mv = raw["mayer_vietoris"]
@@ -486,9 +474,19 @@ def load_topology_data(path: Optional[str] = None) -> dict:
         tuple(pres["generators"]),
         tuple(tuple(rel) for rel in pres["relators"]),
     )
+    expected = get(raw, "expected", dict, default={})
+    _groups(get(expected, "glued_homology", list, "expected", []))
+    for key in ("abelianization_trivial", "presentation_trivializes"):
+        get(expected, key, bool, "expected", None)
     return {
         "chain_model": complex_,
         "mayer_vietoris": data,
         "presentation": presentation,
-        "expected": raw.get("expected", {}),
+        "expected": expected,
     }
+
+
+def load_topology_data(path: Optional[str] = None) -> dict:
+    """Parse the bundled (or a user-supplied) topology data file into
+    typed objects plus the type-checked expectations block."""
+    return load("topology.json", path, _build)

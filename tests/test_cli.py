@@ -24,6 +24,16 @@ def load_raw(name):
     return json.loads(resources.files("godeaux.data").joinpath(name).read_text())
 
 
+def shipped_with(path, value):
+    """The shipped instance with the field at `path` replaced by `value`."""
+    raw = load_raw("godeaux.json")
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
 class TestCanring:
     def test_structured_success(self, canring_structured):
         code, out = canring_structured
@@ -181,13 +191,13 @@ class TestInputErrors:
         path.write_text('{"broken": tr')
         code, _, err = run_cli(capsys, "canring", "--instance", str(path))
         assert code == 2
-        assert "error:" in err
+        assert err == f"error: {path}: Expecting value: line 1 column 12 (char 11)\n"
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "canring",
-                               "--instance", str(tmp_path / "absent.json"))
+        path = tmp_path / "absent.json"
+        code, _, err = run_cli(capsys, "canring", "--instance", str(path))
         assert code == 2
-        assert "error:" in err
+        assert err == f"error: {path}: No such file or directory\n"
 
     def test_bad_max_degree(self, capsys):
         code, _, err = run_cli(capsys, "canring", "--max-degree", "1")
@@ -219,12 +229,50 @@ class TestInputErrors:
             cli.main(["frobnicate"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("command", ["topology", "defcalc"])
+    @pytest.mark.parametrize("command", [["topology"], ["defcalc"], ["verify", "tricanonical"]],
+                             ids=["topology", "defcalc", "verify"])
     def test_max_degree_only_for_graded_commands(self, capsys, command):
+        # only canring reads the horizon; every verify target runs at 12
         with pytest.raises(SystemExit) as info:
-            cli.main([command, "--max-degree", "3"])
+            cli.main(command + ["--max-degree", "3"])
         assert info.value.code == 2
         assert "--max-degree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (["canring"], [], "the top level must be an object, not an array"),
+        (["topology"], [], "the top level must be an object, not an array"),
+        (["defcalc"], [], "the top level must be an object, not an array"),
+        (["verify", "tricanonical"],
+         shipped_with(("tricanonical", "generator_indices"), [2, 3, 4]),
+         "tricanonical: one generator index per variable required (4 variables, 3 indices)"),
+        (["verify", "tricanonical"],
+         shipped_with(("tricanonical", "generator_indices"), [0, 3, 4, 5]),
+         "tricanonical: the indexed generators must share one degree"),
+        (["canring"], shipped_with(("expected", "surface_invariants", "K2"), "1"),
+         "expected.surface_invariants.K2 must be an integer, not a string"),
+        (["topology"], load_raw("godeaux.json"), "missing field 'glued_chain_model'"),
+    ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
+            "mixed-degree-tricanonical", "string-K2", "topology-given-instance"])
+    def test_refused_at_load(self, capsys, tmp_path, argv, content, message):
+        # each of these once crashed mid-run with a traceback or printed a
+        # bare field name; the loader now refuses them with one line
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("fault", [ValueError, KeyError, TypeError])
+    def test_program_fault_propagates(self, capsys, monkeypatch, fault):
+        # only the loader and flag checks decide exit 2; an exception from
+        # the computation is a fault and keeps its traceback
+        def planted(self):
+            raise fault("planted")
+
+        monkeypatch.setattr(Pipeline, "tricanonical", planted)
+        with pytest.raises(fault, match="planted"):
+            cli.main(["verify", "tricanonical"])
 
 
 def test_console_entry_point():
