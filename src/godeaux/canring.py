@@ -17,16 +17,7 @@ from typing import Optional, Sequence
 
 from .instance import Instance, Witness
 from .linalg import Echelon, Number, SpanBuilder, kernel_basis, membership, rank_of, rref
-from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly
-
-
-def rational_text(c: Number) -> str:
-    """Canonical n/d rendering; the denominator is omitted when it is 1."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
+from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
 def _strip(beta: Sequence[int]) -> tuple[int, ...]:

@@ -74,11 +74,20 @@ def _run_canring(args) -> tuple[int, dict, list[str]]:
     expected = pipe.instance.expected
     doc = pipe.export_presentation()
 
+    # below the largest expected generator degree the horizon cannot see
+    # every generator, so neither the profile nor the codimension is decided
+    top = max(expected.get("generator_degrees") or [0])
+
+    def within_horizon(name: str, ok: bool, detail: str) -> dict:
+        if doc["max_degree"] < top:
+            return _skip(name, f"max degree below {top}")
+        return _check(name, ok, detail)
+
     checks = []
     degrees = doc["generators"]["computed"]["degrees"]
-    checks.append(_check("generator-profile",
-                         degrees == expected.get("generator_degrees"),
-                         "degrees " + ",".join(map(str, degrees))))
+    checks.append(within_horizon("generator-profile",
+                                 degrees == expected.get("generator_degrees"),
+                                 "degrees " + ",".join(map(str, degrees))))
     checks.append(_check("reference-generators",
                          doc["generators"]["reference"]["verified"],
                          "membership and graded spans"))
@@ -93,9 +102,9 @@ def _run_canring(args) -> tuple[int, dict, list[str]]:
     checks.append(_check("hilbert-consistency",
                          all(row["agree"] for row in doc["hilbert"]),
                          f"m=0..{doc['max_degree']}"))
-    checks.append(_check("codimension",
-                         doc["codimension"] == expected.get("codimension"),
-                         str(doc["codimension"])))
+    checks.append(within_horizon("codimension",
+                                 doc["codimension"] == expected.get("codimension"),
+                                 str(doc["codimension"])))
     doc["checks"] = checks
 
     lines = [f"instance: {doc['instance']}",
@@ -266,11 +275,11 @@ def _run_defcalc(args) -> tuple[int, dict, list[str]]:
     checks = []
     results = []
     for config, expected in zip(data["configs"], data["expected_degrees"]):
-        degrees = defcalc_mod.t1_degrees(config).as_dict()
-        entry = {"config": config.name, "degrees": degrees}
+        degrees = defcalc_mod.t1_degrees(config)
+        entry = {"config": config["name"], "degrees": degrees}
         if expected is not None:
             entry["expected"] = expected
-            checks.append(_check(f"degrees-{config.name}", degrees == expected,
+            checks.append(_check(f"degrees-{config['name']}", degrees == expected,
                                  " ".join(f"{k}:{v}" for k, v in
                                           sorted(degrees.items()))))
         results.append(entry)

@@ -21,26 +21,33 @@ class InputError(Exception):
     """A data file or flag value the program refuses (exit status 2)."""
 
 
-def typed(value, kind: type, where: str):
-    """`value` if it has the JSON type `kind` (a bool is no int), else a TypeError."""
+def typed(value, kind: type, where: str, of=None):
+    """`value` if it has the JSON type `kind` (a bool is no int) and, given `of`,
+    items of that type; else a TypeError naming `where` or the item's dotted path."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         found = "null" if value is None else _JSON_TYPES.get(type(value), "a number")
         raise TypeError(f"{where} must be {_JSON_TYPES[kind]}, not {found}")
+    if of is not None:
+        for name, item in value.items() if kind is dict else enumerate(value):
+            typed(item, of, f"{where}.{name}")
     return value
 
 
 def get(obj: dict, key: str, kind: type, where: str = "", default=_REQUIRED, of=None):
-    """Field `key` of `obj`, of type `kind` and, given `of`, with items of that
-    type; errors name its dotted path.  A missing field is `default` if given."""
+    """Field `key` of `obj`, typed as by `typed`; errors name its dotted path.
+    A missing field is `default` if given."""
     path = f"{where}.{key}" if where else key
     if key not in obj:
         if default is _REQUIRED:
             raise KeyError(path)
         return default
-    value = typed(obj[key], kind, path)
-    if of is not None:
-        for name, item in value.items() if kind is dict else enumerate(value):
-            typed(item, of, f"{path}.{name}")
+    return typed(obj[key], kind, path, of)
+
+
+def pair(value, where: str, of=None) -> list:
+    """`value` if it is an array of two items, typed as by `typed`."""
+    if len(typed(value, list, where, of)) != 2:
+        raise ValueError(f"{where} must be a pair")
     return value
 
 

@@ -9,7 +9,6 @@ intersection numbers, plus an elementary section-count bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .datafile import get, load, typed
@@ -19,74 +18,11 @@ from .datafile import get, load, typed
 DEL_PEZZO_DEFORMATION_DIMENSION = 8
 
 
-@dataclass(frozen=True)
-class BranchData:
-    """One branch of the double locus on the normalization: the degree
-    of the glueing line bundle on it and how many pinch-point preimages
-    it carries."""
-
-    degree: int
-    node_preimages: int
-
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool):
-            raise ValueError("branch degree must be an integer")
-        if not isinstance(self.node_preimages, int) or self.node_preimages < 0:
-            raise ValueError("node preimage count must be a nonnegative integer")
-
-
-@dataclass(frozen=True)
-class CurveComponent:
-    """A component of the double locus with its two branches upstairs.
-
-    The two branches see the same glued points, so their preimage counts
-    must agree.
-    """
-
-    name: str
-    branches: tuple[BranchData, BranchData]
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if len(self.branches) != 2:
-            raise ValueError("a component carries exactly two branches")
-        first, second = self.branches
-        if first.node_preimages != second.node_preimages:
-            raise ValueError("both branches must carry the same preimage count")
-
-    @property
-    def node_preimages(self) -> int:
-        return self.branches[0].node_preimages
-
-
-@dataclass(frozen=True)
-class GluedCurveConfig:
-    name: str
-    components: tuple[CurveComponent, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
-            raise ValueError("component names must be distinct")
-
-
-@dataclass(frozen=True)
-class T1DegreeReport:
-    degrees: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.degrees)
-
-
-def t1_degrees(config: GluedCurveConfig) -> T1DegreeReport:
+def t1_degrees(config: dict) -> dict[str, int]:
     """Per component: branch degree plus paired branch degree minus the
     pinch-point preimages on the component."""
-    out = []
-    for comp in config.components:
-        first, second = comp.branches
-        out.append((comp.name, first.degree + second.degree - comp.node_preimages))
-    return T1DegreeReport(tuple(out))
+    return {comp["name"]: first["degree"] + second["degree"] - first["node_preimages"]
+            for comp in config["components"] for first, second in [comp["branches"]]}
 
 
 def section_bound(degree: int, arithmetic_genus: int) -> int:
@@ -104,25 +40,41 @@ def section_bound(degree: int, arithmetic_genus: int) -> int:
     return degree + 1
 
 
-def config_from_dict(raw: dict) -> GluedCurveConfig:
+def config_from_dict(raw: dict, where: str = "") -> dict:
+    """A glued curve: its name and components, each a distinct name with
+    exactly two branches that see the same glued points, so both carry one
+    nonnegative pinch-point preimage count.  Errors name the dotted path
+    below `where`."""
     components = []
-    for comp in raw["components"]:
-        branches = tuple(BranchData(b["degree"], b["node_preimages"])
-                         for b in comp["branches"])
-        components.append(CurveComponent(typed(comp["name"], str, "component name"), branches))
-    return GluedCurveConfig(typed(raw["name"], str, "config name"), tuple(components))
+    for i, comp in enumerate(get(raw, "components", list, where)):
+        at = f"{where}.components.{i}" if where else f"components.{i}"
+        branches = get(typed(comp, dict, at), "branches", list, at)
+        if len(branches) != 2:
+            raise ValueError(f"{at}: a component carries exactly two branches")
+        for j, branch in enumerate(branches):
+            path = f"{at}.branches.{j}"
+            get(typed(branch, dict, path), "degree", int, path)
+            if get(branch, "node_preimages", int, path) < 0:
+                raise ValueError(f"{path}.node_preimages must be nonnegative")
+        if branches[0]["node_preimages"] != branches[1]["node_preimages"]:
+            raise ValueError(f"{at}: both branches must carry the same preimage count")
+        components.append({"name": get(comp, "name", str, at), "branches": branches})
+    if len({comp["name"] for comp in components}) != len(components):
+        raise ValueError(f"{where or 'config'}: component names must be distinct")
+    return {"name": get(raw, "name", str, where), "components": components}
 
 
 def _build(raw: dict) -> dict:
-    configs = [config_from_dict(c) for c in raw["configs"]]
-    expected = [get(c, "expected_degrees", dict, "configs[*]", None, of=int)
-                for c in raw["configs"]]
+    configs = [typed(c, dict, f"configs.{i}") for i, c in enumerate(get(raw, "configs", list))]
     cases = get(raw, "section_bounds", list, default=[])
-    for case in cases:
+    for i, case in enumerate(cases):
         for key in ("degree", "arithmetic_genus"):
-            get(typed(case, dict, "section_bounds[*]"), key, int, "section_bounds[*]")
-        get(case, "expected", int, "section_bounds[*]", None)
-    return {"configs": configs, "expected_degrees": expected, "section_bounds": cases,
+            get(typed(case, dict, f"section_bounds.{i}"), key, int, f"section_bounds.{i}")
+        get(case, "expected", int, f"section_bounds.{i}", None)
+    return {"configs": [config_from_dict(c, f"configs.{i}") for i, c in enumerate(configs)],
+            "expected_degrees": [get(c, "expected_degrees", dict, f"configs.{i}", None, of=int)
+                                 for i, c in enumerate(configs)],
+            "section_bounds": cases,
             "deformation_dimension": get(raw, "deformation_dimension", int, default=None)}
 
 

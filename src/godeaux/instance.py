@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .datafile import get, load, typed
+from .datafile import get, load, pair, typed
 from .poly import Poly, WeightedRing, parse_poly
 from .quotient import HypersurfaceRing
 from .residue import CurveRing, ResidueMap, TauSubring
@@ -39,14 +39,14 @@ def _checked_expected(raw: dict) -> dict:
 def _parse_witness(key: str, cfg, nvars: int) -> Witness:
     where = f"base_locus.witnesses.{key}"
     text = get(typed(cfg, dict, where), "extension_minimal_polynomial", str, where)
-    point = get(cfg, "point", list, where)
+    point = get(cfg, "point", list, where, of=str)
     if len(point) != nvars:
         raise ValueError(f"{where}: the point must list one coordinate per ring "
                          f"variable ({nvars}), got {point!r}")
     tring = WeightedRing(["t"], [1])
     try:
         mu = parse_poly(text, tring)
-        coords = tuple(parse_poly(typed(c, str, f"{where}.point"), tring) for c in point)
+        coords = tuple(parse_poly(c, tring) for c in point)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
     if (mu.degree() or 0) < 1:
@@ -54,44 +54,43 @@ def _parse_witness(key: str, cfg, nvars: int) -> Witness:
     return Witness(text, tuple(point), mu, coords)
 
 
-def _pair(value, where: str) -> list:
-    if len(typed(value, list, where)) != 2:
-        raise ValueError(f"{where} must be a pair")
-    return value
-
-
 class Instance:
     """Everything the pipeline needs, parsed and cross-validated."""
 
     def __init__(self, raw: dict):
         self.name = get(raw, "name", str, default="unnamed")
-        ring_cfg = raw["ring"]
-        self.ring = WeightedRing(ring_cfg["names"], ring_cfg["weights"])
+        ring_cfg = get(raw, "ring", dict)
+        self.ring = WeightedRing(get(ring_cfg, "names", list, "ring", of=str),
+                                 get(ring_cfg, "weights", list, "ring", of=int))
         modulus = parse_poly(get(raw, "modulus", str), self.ring)
         self.quotient = HypersurfaceRing(self.ring, modulus)
 
-        factors = _pair(get(raw, "curve_factors", list), "curve_factors")
-        self.curve = CurveRing(*(_pair(f, "curve_factors[*]") for f in factors))
-        images = [self.curve.element(*_pair(pair, "residue_images[*]"))
-                  for pair in get(raw, "residue_images", list)]
+        factors = pair(get(raw, "curve_factors", list), "curve_factors")
+        self.curve = CurveRing(*(pair(f, f"curve_factors.{i}", of=str)
+                                 for i, f in enumerate(factors)))
+        images = [self.curve.element(*pair(texts, f"residue_images.{i}", of=str))
+                  for i, texts in enumerate(get(raw, "residue_images", list))]
         self.residue = ResidueMap(self.quotient, self.curve, images)
-        u, v = (self.curve.element(*_pair(pair, "tau_generators[*]"))
-                for pair in _pair(get(raw, "tau_generators", list), "tau_generators"))
+        taus = pair(get(raw, "tau_generators", list), "tau_generators")
+        u, v = (self.curve.element(*pair(texts, f"tau_generators.{i}", of=str))
+                for i, texts in enumerate(taus))
         self.tau = TauSubring(u, v)
 
         self.reference_generators: list[tuple[Poly, int]] = []
-        for entry in raw["reference_generators"]:
-            p = parse_poly(entry["polynomial"], self.ring)
-            d = get(entry, "degree", int, "reference_generators[*]")
+        for i, entry in enumerate(get(raw, "reference_generators", list)):
+            where = f"reference_generators.{i}"
+            text = get(typed(entry, dict, where), "polynomial", str, where)
+            p = parse_poly(text, self.ring)
+            d = get(entry, "degree", int, where)
             if p.is_zero or p.homogeneous_degree() != d:
-                raise ValueError(f"generator {entry['polynomial']!r} is not homogeneous of degree {d}")
+                raise ValueError(f"generator {text!r} is not homogeneous of degree {d}")
             self.reference_generators.append((p, d))
         degs = [d for _, d in self.reference_generators]
         if degs != sorted(degs):
             raise ValueError("reference generators must be listed by ascending degree")
 
         tri = get(raw, "tricanonical", dict)
-        names = get(tri, "variables", list, "tricanonical")
+        names = get(tri, "variables", list, "tricanonical", of=str)
         self.tricanonical_ring = WeightedRing(names, [1] * len(names))
         indices = get(tri, "generator_indices", list, "tricanonical", of=int)
         if not names or len(indices) != len(names):

@@ -469,9 +469,9 @@ def parse_poly(text: str, ring: WeightedRing) -> Poly:
     return _Parser(text, ring).parse()
 
 
-def _format_coeff(c: Number) -> str:
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
+def rational_text(c: Number) -> str:
+    """Canonical n/d rendering; the denominator is omitted when it is 1
+    (`str` of an int or a Fraction is exactly that)."""
     return str(c)
 
 
@@ -490,11 +490,11 @@ def format_poly(p: Poly) -> str:
         neg = c < 0
         mag = -c if neg else c
         if not factors:
-            body = _format_coeff(mag)
+            body = rational_text(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coeff(mag)] + factors)
+            body = "*".join([rational_text(mag)] + factors)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .datafile import get, load
-from .linalg import mat_mul_int, rank_of, smith_normal_form
+from .datafile import get, load, pair, typed
+from .linalg import mat_mul_int, smith_normal_form
 
 MatrixZ = list[list[int]]
 Word = tuple[int, ...]
@@ -27,9 +27,6 @@ def _check_matrix(mat: Sequence[Sequence[int]], nrows: int, ncols: int,
     for row in mat:
         if len(row) != ncols:
             raise ValueError(f"{what}: expected {ncols} columns, got {len(row)}")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"{what}: entries must be integers")
         out.append(list(row))
     return out
 
@@ -43,13 +40,13 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise ValueError("free rank must be a nonnegative integer")
+        if self.free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for d in self.torsion:
-            if not isinstance(d, int) or d < 2:
-                raise ValueError("torsion coefficients must be integers >= 2")
+            if d < 2:
+                raise ValueError("torsion coefficients must be at least 2")
             if prev is not None and d % prev != 0:
                 raise ValueError("torsion coefficients must form a divisibility chain")
             prev = d
@@ -70,10 +67,16 @@ class AbelianGroup:
     def as_pair(self) -> list:
         return [self.free_rank, list(self.torsion)]
 
-    @classmethod
-    def from_pair(cls, pair: Sequence) -> "AbelianGroup":
-        rank, torsion = pair
-        return cls(rank, tuple(torsion))
+
+def _factors(mat: MatrixZ, ncols: int) -> list[int]:
+    """The nonzero invariant factors of an integer matrix; there are as
+    many as its rank."""
+    return [d for d in smith_normal_form(mat, ncols) if d]
+
+
+def _quotient(rank: int, factors: Sequence[int]) -> AbelianGroup:
+    """Z^rank modulo the image of a map with these nonzero invariant factors."""
+    return AbelianGroup(rank - len(factors), tuple(d for d in factors if d > 1))
 
 
 class ChainComplexZ:
@@ -87,9 +90,8 @@ class ChainComplexZ:
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Sequence[Sequence[int]]]):
         if not ranks:
             raise ValueError("a chain complex needs at least one degree")
-        for r in ranks:
-            if not isinstance(r, int) or r < 0:
-                raise ValueError("ranks must be nonnegative integers")
+        if min(ranks) < 0:
+            raise ValueError("ranks must be nonnegative")
         if len(boundaries) != len(ranks) - 1:
             raise ValueError("expected one boundary map per adjacent pair of degrees")
         self.ranks = list(ranks)
@@ -110,22 +112,14 @@ class ChainComplexZ:
 
 
 def homology(c: ChainComplexZ) -> list[AbelianGroup]:
-    """Homology in every degree, torsion ordered by divisibility."""
-    out = []
-    for i in range(len(c.ranks)):
-        if i == 0 or c.ranks[i] == 0 or c.ranks[i - 1] == 0:
-            cycles = c.ranks[i]
-        else:
-            cycles = c.ranks[i] - rank_of(c.boundaries[i - 1], c.ranks[i])
-        if i == c.top_degree or c.ranks[i] == 0 or c.ranks[i + 1] == 0:
-            image_rank = 0
-            torsion: tuple[int, ...] = ()
-        else:
-            diag = [d for d in smith_normal_form(c.boundaries[i], c.ranks[i + 1]) if d != 0]
-            image_rank = len(diag)
-            torsion = tuple(d for d in diag if d > 1)
-        out.append(AbelianGroup(cycles - image_rank, torsion))
-    return out
+    """Homology in every degree, torsion ordered by divisibility.
+
+    The Smith form of each boundary gives both its rank, which cuts the
+    cycles out of the degree it leaves, and the quotient by its image in
+    the degree it enters."""
+    factors = [_factors(mat, c.ranks[k + 1]) for k, mat in enumerate(c.boundaries)] + [[]]
+    return [_quotient(rank - (len(factors[i - 1]) if i else 0), factors[i])
+            for i, rank in enumerate(c.ranks)]
 
 
 # -- Mayer-Vietoris ------------------------------------------------------
@@ -164,15 +158,6 @@ class MayerVietorisData:
         return len(self.curve_cover)
 
 
-def _cokernel(mat: MatrixZ, nrows: int, ncols: int) -> AbelianGroup:
-    if nrows == 0:
-        return AbelianGroup(0)
-    if ncols == 0:
-        return AbelianGroup(nrows)
-    diag = [d for d in smith_normal_form(mat, ncols) if d != 0]
-    return AbelianGroup(nrows - len(diag), tuple(d for d in diag if d > 1))
-
-
 def mayer_vietoris_solve(data: MayerVietorisData) -> list[Union[AbelianGroup, str]]:
     """Homology of the glued space in each degree, where exactness of
     the long sequence pins it down.
@@ -183,23 +168,21 @@ def mayer_vietoris_solve(data: MayerVietorisData) -> list[Union[AbelianGroup, st
     torsion in the side terms leaves the matrices silent about part of
     the maps, so those degrees come back AMBIGUOUS instead of guessed.
     """
+    factors = [_factors(mat, cover.free_rank) for mat, cover in zip(data.maps, data.curve_cover)]
     out: list[Union[AbelianGroup, str]] = []
     for i in range(data.degrees):
         side_torsion = data.curve[i].torsion or data.surface[i].torsion
         if side_torsion:
             out.append(AMBIGUOUS)
             continue
-        nrows = data.curve[i].free_rank + data.surface[i].free_rank
-        ncols = data.curve_cover[i].free_rank
-        coker = _cokernel(data.maps[i], nrows, ncols)
+        coker = _quotient(data.curve[i].free_rank + data.surface[i].free_rank, factors[i])
         if i == 0:
             kernel_rank = 0
         elif data.curve_cover[i - 1].torsion:
             out.append(AMBIGUOUS)
             continue
         else:
-            below_cols = data.curve_cover[i - 1].free_rank
-            kernel_rank = below_cols - rank_of(data.maps[i - 1], below_cols)
+            kernel_rank = data.curve_cover[i - 1].free_rank - len(factors[i - 1])
         out.append(AbelianGroup(coker.free_rank + kernel_rank, coker.torsion))
     return out
 
@@ -243,7 +226,7 @@ class GroupPresentation:
         rels = []
         for rel in self.relators:
             for s in rel:
-                if not isinstance(s, int) or s == 0 or abs(s) > len(self.generators):
+                if s == 0 or abs(s) > len(self.generators):
                     raise ValueError(f"relator index {s} out of range")
             rels.append(tuple(rel))
         object.__setattr__(self, "relators", tuple(rels))
@@ -267,11 +250,7 @@ def exponent_matrix(g: GroupPresentation) -> MatrixZ:
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:
     n = len(g.generators)
-    rows = exponent_matrix(g)
-    if not rows or n == 0:
-        return AbelianGroup(n)
-    diag = [d for d in smith_normal_form(rows, n) if d != 0]
-    return AbelianGroup(n - len(diag), tuple(d for d in diag if d > 1))
+    return _quotient(n, _factors(exponent_matrix(g), n))
 
 
 def presentation_complex(g: GroupPresentation) -> ChainComplexZ:
@@ -455,27 +434,41 @@ def replay_certificate(g: GroupPresentation, steps: Sequence[dict]) -> GroupPres
 # -- shipped data --------------------------------------------------------
 
 
-def _groups(pairs: Sequence[Sequence]) -> tuple[AbelianGroup, ...]:
-    return tuple(AbelianGroup.from_pair(p) for p in pairs)
+def _each(obj: dict, key: str, where: str, item) -> list:
+    """`item(value, path)` for each entry of the array field `key` of `obj`."""
+    return [item(value, f"{where}.{key}.{i}")
+            for i, value in enumerate(get(obj, key, list, where))]
+
+
+def _matrix(value, where: str) -> MatrixZ:
+    return [typed(row, list, f"{where}.{i}", of=int)
+            for i, row in enumerate(typed(value, list, where))]
+
+
+def _group(value, where: str) -> AbelianGroup:
+    rank, torsion = pair(value, where)
+    return AbelianGroup(typed(rank, int, f"{where}.0"),
+                        tuple(typed(torsion, list, f"{where}.1", of=int)))
+
+
+def _relator(value, where: str) -> Word:
+    return tuple(typed(value, list, where, of=int))
 
 
 def _build(raw: dict) -> dict:
-    model = raw["glued_chain_model"]
-    complex_ = ChainComplexZ(model["ranks"], model["boundaries"])
-    mv = raw["mayer_vietoris"]
-    data = MayerVietorisData(
-        curve_cover=_groups(mv["curve_cover"]),
-        curve=_groups(mv["curve"]),
-        surface=_groups(mv["surface"]),
-        maps=tuple(mv["maps"]),
-    )
-    pres = raw["presentation"]
-    presentation = GroupPresentation(
-        tuple(pres["generators"]),
-        tuple(tuple(rel) for rel in pres["relators"]),
-    )
+    model = get(raw, "glued_chain_model", dict)
+    complex_ = ChainComplexZ(get(model, "ranks", list, "glued_chain_model", of=int),
+                             _each(model, "boundaries", "glued_chain_model", _matrix))
+    mv = get(raw, "mayer_vietoris", dict)
+    data = MayerVietorisData(*(tuple(_each(mv, key, "mayer_vietoris", _group))
+                               for key in ("curve_cover", "curve", "surface")),
+                             maps=tuple(_each(mv, "maps", "mayer_vietoris", _matrix)))
+    pres = get(raw, "presentation", dict)
+    presentation = GroupPresentation(tuple(get(pres, "generators", list, "presentation", of=str)),
+                                     tuple(_each(pres, "relators", "presentation", _relator)))
     expected = get(raw, "expected", dict, default={})
-    _groups(get(expected, "glued_homology", list, "expected", []))
+    if "glued_homology" in expected:
+        _each(expected, "glued_homology", "expected", _group)
     for key in ("abelianization_trivial", "presentation_trivializes"):
         get(expected, key, bool, "expected", None)
     return {

@@ -285,7 +285,7 @@ def test_criterion_10_deformation_degrees():
     data = load_defcalc_data()
     degrees = {}
     for config in data["configs"]:
-        degrees.update(t1_degrees(config).as_dict())
+        degrees.update(t1_degrees(config))
     ok = (
         degrees == {"double_curve": 1, "core": -5, "arm": 2}
         and section_bound(1, 2) == 1

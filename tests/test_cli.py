@@ -24,9 +24,9 @@ def load_raw(name):
     return json.loads(resources.files("godeaux.data").joinpath(name).read_text())
 
 
-def shipped_with(path, value):
-    """The shipped instance with the field at `path` replaced by `value`."""
-    raw = load_raw("godeaux.json")
+def shipped_with(path, value, name="godeaux.json"):
+    """The shipped data file `name` with the field at `path` replaced by `value`."""
+    raw = load_raw(name)
     node = raw
     for key in path[:-1]:
         node = node[key]
@@ -52,6 +52,17 @@ class TestCanring:
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["relation-profile"] == "SKIPPED"
         assert statuses["generator-profile"] == "OK"
+
+    def test_horizon_below_generators_skips(self, capsys):
+        # the degree-5 generators lie above horizon 4, so neither the
+        # generator profile nor the codimension can be decided there
+        code, out, _ = run_cli(capsys, "canring", "--max-degree", "4", "--format", "structured")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("generator-profile", "codimension"):
+            assert checks[name]["status"] == "SKIPPED"
+            assert checks[name]["detail"] == "max degree below 5"
+        assert checks["reference-generators"]["status"] == "OK"
 
     def test_text_mode(self, capsys, monkeypatch, canring_structured):
         # the text lines are rendered from the same document as the shared
@@ -251,11 +262,24 @@ class TestInputErrors:
         (["canring"], shipped_with(("expected", "surface_invariants", "K2"), "1"),
          "expected.surface_invariants.K2 must be an integer, not a string"),
         (["topology"], load_raw("godeaux.json"), "missing field 'glued_chain_model'"),
+        (["topology"], shipped_with(("glued_chain_model", "ranks", 0), True, "topology.json"),
+         "glued_chain_model.ranks.0 must be an integer, not true or false"),
+        (["topology"],
+         shipped_with(("presentation", "relators", 0), [2, -1, True], "topology.json"),
+         "presentation.relators.0.2 must be an integer, not true or false"),
+        (["canring"], shipped_with(("ring", "weights", 0), True),
+         "ring.weights.0 must be an integer, not true or false"),
+        (["defcalc"],
+         shipped_with(("configs", 0, "components", 0, "branches", 0, "node_preimages"), True,
+                      "defcalc.json"),
+         "configs.0.components.0.branches.0.node_preimages must be an integer, not true or false"),
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
-            "mixed-degree-tricanonical", "string-K2", "topology-given-instance"])
+            "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
+            "boolean-relator-letter", "boolean-weight", "boolean-node-preimages"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):
-        # each of these once crashed mid-run with a traceback or printed a
-        # bare field name; the loader now refuses them with one line
+        # each of these once crashed mid-run with a traceback, printed a bare
+        # field name or read a boolean as 0 or 1; the loader now refuses
+        # them with one line
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
         code, out, err = run_cli(capsys, *argv, "--instance", str(path))

@@ -3,7 +3,7 @@ InputError, never with any other exception.
 
 Mutants of each shipped file delete, retype or replace fields anywhere in
 the document; Hypothesis runs derandomized, so every run checks the same
-mutants.
+mutants.  Every integer recast as a JSON boolean is refused by name.
 """
 
 import json
@@ -101,3 +101,28 @@ def test_mutant_loads_or_is_refused(mutant_file, name, data):
         LOADERS[name](str(mutant_file))
     except InputError as exc:
         assert str(exc).startswith(f"{mutant_file}: ")
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_for_integer_is_refused(tmp_path, name, flag):
+    # JSON true/false decode as Python bools, which are ints; each one in
+    # place of a shipped integer must be refused naming its dotted path
+    doc = shipped(name)
+    targets = [p for p in paths(doc) if type(at(doc, p)) is int]
+    assert targets
+    wrong = []
+    for path in targets:
+        mutant = deepcopy(doc)
+        at(mutant, path[:-1])[path[-1]] = flag
+        file = tmp_path / "mutant.json"
+        file.write_text(json.dumps(mutant))
+        dotted = ".".join(map(str, path))
+        try:
+            LOADERS[name](str(file))
+        except InputError as exc:
+            if str(exc) != f"{file}: {dotted} must be an integer, not true or false":
+                wrong.append(str(exc))
+        else:
+            wrong.append(f"{dotted} loaded")
+    assert wrong == []

@@ -4,9 +4,6 @@ import pytest
 
 from godeaux.defcalc import (
     DEL_PEZZO_DEFORMATION_DIMENSION,
-    BranchData,
-    CurveComponent,
-    GluedCurveConfig,
     config_from_dict,
     load_defcalc_data,
     section_bound,
@@ -14,8 +11,16 @@ from godeaux.defcalc import (
 )
 
 
+def branch(degree, nodes):
+    return {"degree": degree, "node_preimages": nodes}
+
+
 def component(name, d1, d2, nodes):
-    return CurveComponent(name, (BranchData(d1, nodes), BranchData(d2, nodes)))
+    return {"name": name, "branches": [branch(d1, nodes), branch(d2, nodes)]}
+
+
+def config(name, *components):
+    return config_from_dict({"name": name, "components": list(components)})
 
 
 @pytest.fixture(scope="module")
@@ -25,62 +30,58 @@ def shipped():
 
 class TestDegrees:
     def test_main_surface(self):
-        config = GluedCurveConfig("main", (component("d", 2, 2, 3),))
-        assert t1_degrees(config).as_dict() == {"d": 1}
+        assert t1_degrees(config("main", component("d", 2, 2, 3))) == {"d": 1}
 
     def test_limit_core(self):
-        config = GluedCurveConfig("core", (component("c", -1, -1, 3),))
-        assert t1_degrees(config).as_dict() == {"c": -5}
+        assert t1_degrees(config("core", component("c", -1, -1, 3))) == {"c": -5}
 
     def test_limit_arm(self):
-        config = GluedCurveConfig("arm", (component("a", 1, 3, 2),))
-        assert t1_degrees(config).as_dict() == {"a": 2}
+        assert t1_degrees(config("arm", component("a", 1, 3, 2))) == {"a": 2}
 
     def test_shipped_configs(self, shipped):
-        for config, expected in zip(shipped["configs"],
-                                    shipped["expected_degrees"]):
-            assert t1_degrees(config).as_dict() == expected
+        for cfg, expected in zip(shipped["configs"], shipped["expected_degrees"]):
+            assert t1_degrees(cfg) == expected
 
     def test_additive_under_disjoint_union(self):
         first = component("p", 2, 2, 3)
         second = component("q", 1, 3, 2)
-        merged = GluedCurveConfig("both", (first, second))
-        separate = {}
-        separate.update(t1_degrees(GluedCurveConfig("p", (first,))).as_dict())
-        separate.update(t1_degrees(GluedCurveConfig("q", (second,))).as_dict())
-        assert t1_degrees(merged).as_dict() == separate
+        separate = {**t1_degrees(config("p", first)), **t1_degrees(config("q", second))}
+        assert t1_degrees(config("both", first, second)) == separate
 
     def test_branch_swap_symmetric(self):
-        swapped = CurveComponent("a", (BranchData(3, 2), BranchData(1, 2)))
+        swapped = {"name": "a", "branches": [branch(3, 2), branch(1, 2)]}
         plain = component("a", 1, 3, 2)
-        assert (t1_degrees(GluedCurveConfig("x", (plain,))).as_dict()
-                == t1_degrees(GluedCurveConfig("x", (swapped,))).as_dict())
+        assert t1_degrees(config("x", plain)) == t1_degrees(config("x", swapped))
 
 
 class TestValidation:
     def test_mismatched_node_counts(self):
-        with pytest.raises(ValueError):
-            CurveComponent("a", (BranchData(1, 2), BranchData(3, 1)))
+        with pytest.raises(ValueError, match="same preimage count"):
+            config("x", {"name": "a", "branches": [branch(1, 2), branch(3, 1)]})
 
     def test_negative_node_count(self):
-        with pytest.raises(ValueError):
-            BranchData(1, -1)
+        with pytest.raises(ValueError, match=r"components\.0\.branches\.0\.node_preimages"):
+            config("x", component("a", 1, 1, -1))
 
     def test_branch_count(self):
-        with pytest.raises(ValueError):
-            CurveComponent("a", (BranchData(1, 2),))
+        with pytest.raises(ValueError, match="exactly two branches"):
+            config("x", {"name": "a", "branches": [branch(1, 2)]})
 
     def test_duplicate_component_names(self):
-        with pytest.raises(ValueError):
-            GluedCurveConfig("x", (component("a", 1, 1, 1),
-                                   component("a", 2, 2, 2)))
+        with pytest.raises(ValueError, match="distinct"):
+            config("x", component("a", 1, 1, 1), component("a", 2, 2, 2))
 
     def test_config_from_dict(self):
-        raw = {"name": "x", "components": [
+        raw = {"name": "x", "description": "ignored", "components": [
             {"name": "a",
              "branches": [{"degree": 1, "node_preimages": 2},
                           {"degree": 3, "node_preimages": 2}]}]}
-        assert t1_degrees(config_from_dict(raw)).as_dict() == {"a": 2}
+        cfg = config_from_dict(raw)
+        assert cfg["name"] == "x"
+        assert t1_degrees(cfg) == {"a": 2}
+        raw["components"][0]["branches"][1]["node_preimages"] = True
+        with pytest.raises(TypeError, match=r"^c\.components\.0\.branches\.1\.node_preimages "):
+            config_from_dict(raw, "c")
 
 
 class TestSectionBound:
