@@ -16,7 +16,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
-from .linalg import Echelon, Number, SpanBuilder, kernel_basis, membership, rank_of, rref
+from .linalg import Echelon, Number, kernel_basis, membership, rank_of, rref
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
@@ -254,17 +254,14 @@ class Pipeline:
     def relations(self) -> RelationSet:
         """Minimal relations against the reference generator list.
 
-        In each degree m the multiples of the relations found so far are
-        inserted into the ideal slice, then the kernel vectors of the product
-        map; a kernel vector that is independent of the slice is a new
-        relation.  Every multiple of a relation is itself in that kernel, so
-        the slice is a subspace of the kernel, and once its rank equals the
-        kernel's dimension (read off the forward elimination) the two are
-        equal: every later multiple and kernel vector is dependent, and both
-        loops stop there.  The kernel basis, whose back substitution costs as
-        much again as the forward pass, is built only in degrees where the
-        multiples leave the kernel unfilled.  The chosen relations and the
-        recorded ranks are the ones the full loops would give.
+        In each degree m the multiples of the relations found so far span
+        the ideal slice, a subspace of the kernel of the product map.  When
+        their rank equals the kernel's dimension the degree has no new
+        relation, and the kernel basis, whose back substitution costs as much
+        again as the forward pass, is never built.  Otherwise the new
+        relations are the kernel vectors whose columns are pivots of
+        [independent multiples | kernel vectors]: each is independent of the
+        multiples and of the kernel vectors before it.
         """
         if self._relations is not None:
             return self._relations
@@ -274,37 +271,24 @@ class Pipeline:
         for m in range(4, self.max_degree + 1):
             image = self._reference_image(m)[1]
             del self._reference_images[m]
-            nullity = image.ncols - image.rank
             monos = tring.monomials(m)
-            span = SpanBuilder(len(monos))
-            for vec in self._relation_multiples(rels, monos, m):
-                if span.rank == nullity:
-                    break
-                span.insert(vec)
-            kernel = image.kernel() if span.rank < nullity else []
-            for kvec in kernel:
-                if span.rank == nullity:
-                    break
-                if span.insert(kvec) is not None:
-                    poly = Poly(tring, {mono: c for mono, c in zip(monos, kvec)})
+            multiples = [(Poly(tring, {gamma: 1}) * rpoly).coeffs
+                         for rpoly, rdeg in rels for gamma in tring.monomials(m - rdeg)]
+            ideal = Echelon(([c.get(mono, 0) for c in multiples] for mono in monos),
+                            len(multiples))
+            rank = ideal.rank
+            if rank < image.ncols - image.rank:
+                basis = [multiples[j] for j in ideal.pivot_columns]
+                kernel = image.kernel()
+                joint = Echelon(([c.get(mono, 0) for c in basis] + [k[i] for k in kernel]
+                                 for i, mono in enumerate(monos)), rank + len(kernel))
+                for j in joint.pivot_columns[rank:]:
+                    poly = Poly(tring, {mono: c for mono, c in zip(monos, kernel[j - rank])})
                     rels.append((poly.content_normalized(), m))
-            ideal_ranks[m] = span.rank
+                rank = joint.rank
+            ideal_ranks[m] = rank
         self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
         return self._relations
-
-    def _relation_multiples(self, rels: list[tuple[Poly, int]],
-                            monos: Sequence[Monomial], m: int):
-        """The degree-m monomial multiples of `rels`, lazily, as vectors
-        over `monos`."""
-        tring = self.presentation_ring()
-        index = {mono: i for i, mono in enumerate(monos)}
-        for rpoly, rdeg in rels:
-            for gamma in tring.monomials(m - rdeg):
-                shifted = Poly(tring, {gamma: 1}) * rpoly
-                vec: list[Number] = [0] * len(monos)
-                for mono, c in shifted.coeffs.items():
-                    vec[index[mono]] = c
-                yield vec
 
     def relation_defects(self) -> list[int]:
         """Indices of relations that fail the independent substitution check."""

@@ -60,9 +60,16 @@ def _check_lines(checks: Sequence[dict]) -> list[str]:
     return lines
 
 
+# the largest canring horizon accepted: the cost more than doubles with each
+# degree past 12 (about 30 s at 16 on two cores), so a larger one runs for minutes
+MAX_DEGREE = 16
+
+
 def _pipeline(path: Optional[str], max_degree: int = 12) -> Pipeline:
     if max_degree < 2:
         raise InputError(f"--max-degree must be at least 2, got {max_degree}")
+    if max_degree > MAX_DEGREE:
+        raise InputError(f"--max-degree must be at most {MAX_DEGREE}, got {max_degree}")
     return Pipeline(load_instance(path), max_degree=max_degree)
 
 
@@ -330,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     canring = sub.add_parser("canring", help="generators, relations and the dimension triple")
     canring.add_argument("--max-degree", dest="max_degree", type=int, default=12,
-                         metavar="N", help="degree horizon (default 12)")
+                         metavar="N",
+                         help=f"degree horizon, 2 to {MAX_DEGREE} (default 12)")
     common(canring)
     verify = sub.add_parser("verify", help="check one published value")
     verify.add_argument("target", choices=tuple(_VERIFY))

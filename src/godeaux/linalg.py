@@ -266,7 +266,9 @@ class SpanBuilder:
 
     Rows are stored as integer vectors with content 1 and positive pivot;
     insertion order does not affect the span, and the stored rows are the
-    canonical RREF of everything inserted so far.
+    canonical RREF of everything inserted so far.  The program itself
+    eliminates with `Echelon` only; this class is kept as the tests'
+    independent incremental reference.
     """
 
     def __init__(self, width: int):

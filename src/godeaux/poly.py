@@ -363,12 +363,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Parentheses and unary minus signs nest the recursive descent, at most four
+# frames a level; deeper input is refused well before Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, ring: WeightedRing):
         self.text = text
         self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -383,6 +389,11 @@ class _Parser:
         if kind != "op" or val != op:
             raise PolyParseError(f"expected {op!r}", pos)
         return self.advance()
+
+    def nest(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def parse(self) -> Poly:
         p = self.expr()
@@ -423,7 +434,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return -self.factor()
+            self.nest(pos)
+            p = -self.factor()
+            self.depth -= 1
+            return p
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -455,8 +469,10 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {val!r}", pos)
             return self.ring.variable(val)
         if kind == "op" and val == "(":
+            self.nest(pos)
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         if kind == "end":
             raise PolyParseError("unexpected end of input", pos)

@@ -19,14 +19,24 @@ Word = tuple[int, ...]
 AMBIGUOUS = "AMBIGUOUS"
 
 
+class FieldError(ValueError):
+    """A ValueError about one part of a constructor's input, named by its
+    dotted path `field` relative to that input (`boundaries.1`)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 def _check_matrix(mat: Sequence[Sequence[int]], nrows: int, ncols: int,
-                  what: str) -> MatrixZ:
+                  field: str) -> MatrixZ:
     if len(mat) != nrows:
-        raise ValueError(f"{what}: expected {nrows} rows, got {len(mat)}")
+        raise FieldError(field, f"expected {nrows} rows, got {len(mat)}")
     out = []
     for row in mat:
         if len(row) != ncols:
-            raise ValueError(f"{what}: expected {ncols} columns, got {len(row)}")
+            raise FieldError(field, f"expected {ncols} columns, got {len(row)}")
         out.append(list(row))
     return out
 
@@ -89,14 +99,15 @@ class ChainComplexZ:
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Sequence[Sequence[int]]]):
         if not ranks:
-            raise ValueError("a chain complex needs at least one degree")
+            raise FieldError("ranks", "a chain complex needs at least one degree")
         if min(ranks) < 0:
-            raise ValueError("ranks must be nonnegative")
+            raise FieldError("ranks", "must be nonnegative")
         if len(boundaries) != len(ranks) - 1:
-            raise ValueError("expected one boundary map per adjacent pair of degrees")
+            raise FieldError("boundaries",
+                             "expected one map per adjacent pair of degrees")
         self.ranks = list(ranks)
         self.boundaries = [
-            _check_matrix(mat, ranks[k], ranks[k + 1], f"boundary into degree {k}")
+            _check_matrix(mat, ranks[k], ranks[k + 1], f"boundaries.{k}")
             for k, mat in enumerate(boundaries)
         ]
         for k in range(len(self.boundaries) - 1):
@@ -104,7 +115,8 @@ class ChainComplexZ:
                 continue
             prod = mat_mul_int(self.boundaries[k], self.boundaries[k + 1])
             if any(any(row) for row in prod):
-                raise ValueError("consecutive boundaries do not compose to zero")
+                raise FieldError(f"boundaries.{k}",
+                                 "its composite with the next boundary map is not zero")
 
     @property
     def top_degree(self) -> int:
@@ -149,8 +161,7 @@ class MayerVietorisData:
         for i in range(n):
             nrows = self.curve[i].free_rank + self.surface[i].free_rank
             ncols = self.curve_cover[i].free_rank
-            checked.append(_check_matrix(self.maps[i], nrows, ncols,
-                                         f"map in degree {i}"))
+            checked.append(_check_matrix(self.maps[i], nrows, ncols, f"maps.{i}"))
         object.__setattr__(self, "maps", tuple(checked))
 
     @property
@@ -222,12 +233,12 @@ class GroupPresentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         if len(set(self.generators)) != len(self.generators):
-            raise ValueError("generator names must be distinct")
+            raise FieldError("generators", "names must be distinct")
         rels = []
-        for rel in self.relators:
+        for i, rel in enumerate(self.relators):
             for s in rel:
                 if s == 0 or abs(s) > len(self.generators):
-                    raise ValueError(f"relator index {s} out of range")
+                    raise FieldError(f"relators.{i}", f"index {s} out of range")
             rels.append(tuple(rel))
         object.__setattr__(self, "relators", tuple(rels))
 
@@ -434,6 +445,17 @@ def replay_certificate(g: GroupPresentation, steps: Sequence[dict]) -> GroupPres
 # -- shipped data --------------------------------------------------------
 
 
+def _made(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a ValueError it raises prefixed by the
+    dotted path of the value refused: `where`, extended by a FieldError's field."""
+    try:
+        return make(*args, **kwargs)
+    except FieldError as exc:
+        raise ValueError(f"{where}.{exc.field}: {exc.message}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _each(obj: dict, key: str, where: str, item) -> list:
     """`item(value, path)` for each entry of the array field `key` of `obj`."""
     return [item(value, f"{where}.{key}.{i}")
@@ -447,8 +469,8 @@ def _matrix(value, where: str) -> MatrixZ:
 
 def _group(value, where: str) -> AbelianGroup:
     rank, torsion = pair(value, where)
-    return AbelianGroup(typed(rank, int, f"{where}.0"),
-                        tuple(typed(torsion, list, f"{where}.1", of=int)))
+    return _made(where, AbelianGroup, typed(rank, int, f"{where}.0"),
+                 tuple(typed(torsion, list, f"{where}.1", of=int)))
 
 
 def _relator(value, where: str) -> Word:
@@ -457,15 +479,18 @@ def _relator(value, where: str) -> Word:
 
 def _build(raw: dict) -> dict:
     model = get(raw, "glued_chain_model", dict)
-    complex_ = ChainComplexZ(get(model, "ranks", list, "glued_chain_model", of=int),
-                             _each(model, "boundaries", "glued_chain_model", _matrix))
+    complex_ = _made("glued_chain_model", ChainComplexZ,
+                     get(model, "ranks", list, "glued_chain_model", of=int),
+                     _each(model, "boundaries", "glued_chain_model", _matrix))
     mv = get(raw, "mayer_vietoris", dict)
-    data = MayerVietorisData(*(tuple(_each(mv, key, "mayer_vietoris", _group))
-                               for key in ("curve_cover", "curve", "surface")),
-                             maps=tuple(_each(mv, "maps", "mayer_vietoris", _matrix)))
+    data = _made("mayer_vietoris", MayerVietorisData,
+                 *(tuple(_each(mv, key, "mayer_vietoris", _group))
+                   for key in ("curve_cover", "curve", "surface")),
+                 maps=tuple(_each(mv, "maps", "mayer_vietoris", _matrix)))
     pres = get(raw, "presentation", dict)
-    presentation = GroupPresentation(tuple(get(pres, "generators", list, "presentation", of=str)),
-                                     tuple(_each(pres, "relators", "presentation", _relator)))
+    presentation = _made("presentation", GroupPresentation,
+                         tuple(get(pres, "generators", list, "presentation", of=str)),
+                         tuple(_each(pres, "relators", "presentation", _relator)))
     expected = get(raw, "expected", dict, default={})
     if "glued_homology" in expected:
         _each(expected, "glued_homology", "expected", _group)

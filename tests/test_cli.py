@@ -145,6 +145,7 @@ class TestVerify:
         assert doc["expected_second_difference"] == 16
         statuses = [c["status"] for c in doc["checks"]]
         assert statuses == ["FAIL", "OK", "FAIL"]
+        assert out.encode() == (GOLDEN / "verify-fourcanonical.json").read_bytes()
 
 
 class TestTopology:
@@ -157,6 +158,7 @@ class TestTopology:
         assert doc["abelianization"] == [0, []]
         assert doc["fundamental_group"]["status"] == "TRIVIAL"
         assert doc["fundamental_group"]["replay_trivial"]
+        assert out.encode() == (GOLDEN / "topology.json").read_bytes()
 
     def test_expectation_mismatch(self, capsys, tmp_path):
         raw = load_raw("topology.json")
@@ -186,6 +188,7 @@ class TestDefcalc:
         assert degrees == {"surface_double_curve": {"double_curve": 1},
                            "limit_core": {"core": -5},
                            "limit_arm": {"arm": 2}}
+        assert out.encode() == (GOLDEN / "defcalc.json").read_bytes()
 
     def test_expectation_mismatch(self, capsys, tmp_path):
         raw = load_raw("defcalc.json")
@@ -214,6 +217,17 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "canring", "--max-degree", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_max_degree_bounded(self, capsys, monkeypatch):
+        # refused before any pipeline is built
+        def planted(*args, **kwargs):
+            raise AssertionError("a pipeline was built")
+
+        monkeypatch.setattr(cli, "Pipeline", planted)
+        code, out, err = run_cli(capsys, "canring", "--max-degree", "17")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-degree must be at most 16, got 17\n"
 
     @pytest.mark.parametrize("field, value", [
         ("point", ["0", "1", "1"]),
@@ -283,6 +297,38 @@ class TestInputErrors:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
         code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("modulus", [
+        lambda text: "(" * 300 + text + ")" * 300,
+        lambda text: "-" * 1000 + "(" + text + ")",
+    ], ids=["300-parentheses", "1000-minus-signs"])
+    def test_deep_nesting_refused(self, capsys, tmp_path, modulus):
+        # these once exhausted Python's recursion limit, and the traceback
+        # exited 1, the status of a verification mismatch
+        raw = load_raw("godeaux.json")
+        raw["modulus"] = modulus(raw["modulus"])
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "verify", "tricanonical", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: nesting deeper than ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value, message", [
+        (("mayer_vietoris", "curve", 0), [1, [1]],
+         "mayer_vietoris.curve.0: torsion coefficients must be at least 2"),
+        (("glued_chain_model", "boundaries", 2, 1), [1],
+         "glued_chain_model.boundaries.1: its composite with the next boundary map "
+         "is not zero"),
+    ], ids=["torsion-one", "nonzero-square"])
+    def test_topology_value_names_field(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(shipped_with(field, value, "topology.json")))
+        code, out, err = run_cli(capsys, "topology", "--instance", str(path))
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {message}\n"

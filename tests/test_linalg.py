@@ -458,3 +458,42 @@ class TestKernelOracle:
                 assert not any(sb.residual(row))
             for c, support in sb._supports.items():
                 assert support == _support(sb.rows[c])
+
+
+@st.composite
+def column_sets(draw):
+    """Integer column sets A and B of one height, where some columns are
+    combinations of columns drawn before them, so that both sets have
+    dependent columns."""
+    height = draw(st.integers(1, 7))
+    columns = []
+    for _ in range(draw(st.integers(0, 10))):
+        if columns and draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(columns),
+                                    max_size=len(columns)))
+            columns.append([sum(w * c[i] for w, c in zip(weights, columns))
+                            for i in range(height)])
+        else:
+            columns.append(draw(st.lists(INT_ENTRY, min_size=height, max_size=height)))
+    split = draw(st.integers(0, len(columns)))
+    return height, columns[:split], columns[split:]
+
+
+class TestGreedyChoiceOracle:
+    @ORACLE
+    @given(column_sets())
+    def test_pivot_columns_past_a_block(self, sets):
+        # the B columns that raise a span's rank, inserted after all of A,
+        # are the pivot columns of [independent columns of A | B] past A's rank
+        height, a, b = sets
+        span = SpanBuilder(height)
+        for col in a:
+            span.insert(col)
+        rank_a = span.rank
+        raising = [j for j, col in enumerate(b) if span.insert(col) is not None]
+        kept = [a[j] for j in Echelon(zip(*a), len(a)).pivot_columns]
+        assert len(kept) == rank_a
+        joint = Echelon(zip(*kept, *b), len(kept) + len(b))
+        assert joint.pivot_columns[:rank_a] == tuple(range(rank_a))
+        assert [j - rank_a for j in joint.pivot_columns[rank_a:]] == raising
+        assert joint.rank == span.rank

@@ -5,11 +5,15 @@ expansion (coin-counting DP) rather than against the enumerator itself.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from godeaux.poly import (
+    MAX_NESTING,
     Poly,
     PolyParseError,
     WeightedRing,
@@ -270,3 +274,67 @@ class TestGrammar:
     def test_format_is_descending(self, ring):
         p = parse_poly("x1^2+z^2+y^3", ring)
         assert format_poly(p) == "z^2+y^3+x1^2"
+
+    def test_nesting_limit(self, ring):
+        x = ring.variable("x1")
+        assert parse_poly("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, ring) == x
+        assert parse_poly("-" * (MAX_NESTING + 1) + "x1", ring) == -x
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1), ring)
+        assert info.value.position == MAX_NESTING
+        # parentheses and unary minus signs count together; the first sign
+        # after a parenthesis is the expression's, not a unary minus
+        half = MAX_NESTING // 2
+        assert parse_poly("(--" * half + "x1" + ")" * half, ring) == x
+        with pytest.raises(PolyParseError):
+            parse_poly("(--" * (half + 1) + "x1" + ")" * (half + 1), ring)
+
+
+# -- grammar fuzz ------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+FUZZ_RING = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 3])
+# the grammar's alphabet in tokens, with a few that do not belong to it
+FUZZ_TOKENS = ["x1", "x2", "y", "z", "w", "0", "1", "3", "+", "-", "*", "/", "^", "(", ")",
+               " ", "."]
+DEEP = ["(" * 300 + "x1" + ")" * 300, "-" * 1000 + "x1", "(-" * 500 + "x1" + ")" * 500,
+        "(" * 2000]
+
+
+@st.composite
+def fuzz_texts(draw):
+    text = "".join(draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=30)))
+    # a valid exponent of two digits or more, or a tower of exponents, is
+    # text the grammar accepts but whose expansion is too large to fuzz
+    if re.search(r"\^\s*\d\d", text) or text.count("^") > 2:
+        text = text.replace("^", "*")
+    return text
+
+
+@st.composite
+def polys(draw):
+    coeff = st.one_of(st.integers(-50, 50),
+                      st.builds(F, st.integers(-50, 50), st.integers(1, 12)))
+    monos = st.tuples(*[st.integers(0, 4)] * FUZZ_RING.n)
+    return Poly(FUZZ_RING, draw(st.dictionaries(monos, coeff, max_size=6)))
+
+
+class TestGrammarFuzz:
+    @FUZZ
+    @given(fuzz_texts())
+    @example(DEEP[0])
+    @example(DEEP[1])
+    @example(DEEP[2])
+    @example(DEEP[3])
+    def test_parses_or_refuses(self, text):
+        try:
+            parsed = parse_poly(text, FUZZ_RING)
+        except PolyParseError as exc:
+            assert 0 <= exc.position <= len(text)
+        else:
+            assert parse_poly(format_poly(parsed), FUZZ_RING) == parsed
+
+    @FUZZ
+    @given(polys())
+    def test_round_trip(self, p):
+        assert parse_poly(format_poly(p), FUZZ_RING) == p
