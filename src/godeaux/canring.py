@@ -108,6 +108,8 @@ class Pipeline:
         self._reference_images: dict[int, tuple[list[list[Number]], Echelon]] = {}
         self._relations: Optional[RelationSet] = None
         self._tring: Optional[WeightedRing] = None
+        self._quartics: Optional[_ProductCache] = None
+        self._quartic_monos: list[Monomial] = []
         self._quartic_ranks: dict[int, int] = {}
 
     def _products(self, elements: list[Poly]) -> _ProductCache:
@@ -405,7 +407,7 @@ class Pipeline:
         """Hilbert function of the quartic subalgebra and its second
         differences.
 
-        h(d) is the dimension of the degree-4d piece of the subalgebra
+        h(d) is the dimension of the degree-4d piece V_d of the subalgebra
         generated by the quartics R_4, the homogeneous coordinate ring of the
         4-canonical image.  It is not the Veronese subring R^(4), whose
         degree-d piece is all of R_{4d}, of dimension P_{4d}: h(d) <= P_{4d},
@@ -414,22 +416,34 @@ class Pipeline:
         agrees with its Hilbert polynomial, which may be later than d_max; on
         the shipped instance that is from d = 6 on.
 
-        The ranks h(d) are kept, so a later call computes only new degrees.
+        V_d = R_4 * V_{d-1}, and the pivot products of degree d-1 form a
+        basis of V_{d-1}, so degree d eliminates only the products beta + e_i
+        for beta a pivot monomial of degree d-1, not every monomial of
+        degree d in the quartics.
+
+        The ranks h(d), the product cache and the next degree's monomials
+        are kept, so a later call computes only new degrees.
         """
         if d_max < 4:
             raise ValueError("d_max must be at least 4")
-        quartics = self.descend_polys(4)
-        qring = WeightedRing([f"q{i}" for i in range(len(quartics))],
-                             [1] * len(quartics))
-        cache = self._products(quartics)
-        for d in range(1, d_max + 1):
-            if d not in self._quartic_ranks:
-                self._quartic_ranks[d] = self._image(cache, qring.monomials(d), 4 * d)[1].rank
+        if self._quartics is None:
+            self._quartics = self._products(self.descend_polys(4))
+        cache = self._quartics
+        n = len(cache.elements)
+        qring = WeightedRing([f"q{i}" for i in range(n)], [1] * n)
+        if not self._quartic_ranks:
+            self._quartic_monos = list(qring.monomials(1))
+        for d in range(len(self._quartic_ranks) + 1, d_max + 1):
+            monos = self._quartic_monos
+            image = self._image(cache, monos, 4 * d)[1]
+            self._quartic_ranks[d] = image.rank
+            grown = {tuple(e + 1 if j == i else e for j, e in enumerate(monos[k]))
+                     for k in image.pivot_columns for i in range(n)}
+            self._quartic_monos = sorted(grown, key=qring.sort_key)
         h = {0: 1}
         h.update((d, self._quartic_ranks[d]) for d in range(1, d_max + 1))
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
-        return {"h": h, "second_differences": second,
-                "quartic_count": len(quartics)}
+        return {"h": h, "second_differences": second, "quartic_count": n}
 
     # -- base locus ------------------------------------------------------
 

@@ -12,8 +12,13 @@ then subtracts only at the pivot row's nonzero entries (its support, listed
 once per pivot row).  Off the support the pivot entry is zero, so every entry
 is the same integer a full-width update would give.
 
-Reduced row echelon form of a matrix is unique, so the results do not depend
-on the internal pivoting strategy.
+The pivot row for a column is the one with the smallest pivot magnitude,
+which keeps coefficient growth down; among those, the one with the fewest
+nonzeros (Markowitz's fill-reducing choice), which keeps the supports of the
+updates and of the rows they produce small; then the first.  Reduced row
+echelon form of a matrix is unique, so rank, pivot columns, RREF, kernel and
+membership results do not depend on the pivoting strategy; only the
+intermediate integers do.
 """
 
 from __future__ import annotations
@@ -28,24 +33,19 @@ Number = int | Fraction
 
 def _as_int_row(row: Sequence[Number]) -> list[int]:
     """Scale a row of ints/Fractions to integers (common denominator)."""
-    # the exact type test is cheap, where isinstance against Fraction goes
+    # the exact type tests are cheap, where isinstance against Fraction goes
     # through the ABC machinery for every entry
     if all(type(x) is int for x in row):
         return list(row)
     denom = 1
     for x in row:
-        if isinstance(x, Fraction):
+        if type(x) is not int and isinstance(x, Fraction):
             d = x.denominator
             denom = denom // gcd(denom, d) * d
     if denom == 1:
         return [int(x) for x in row]
-    out = []
-    for x in row:
-        if isinstance(x, Fraction):
-            out.append(x.numerator * (denom // x.denominator))
-        else:
-            out.append(x * denom)
-    return out
+    return [x * denom if type(x) is int else x.numerator * (denom // x.denominator)
+            for x in row]
 
 
 def _content(row: Sequence[int]) -> int:
@@ -120,8 +120,12 @@ def _forward(irows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
         cands = [i for i, r in enumerate(pending) if r[col]]
         if not cands:
             continue
-        # smallest pivot magnitude keeps coefficient growth down
-        best = min(cands, key=lambda i: (abs(pending[i][col]), i))
+        # smallest pivot magnitude keeps coefficient growth down; among
+        # equal magnitudes the row with fewest nonzeros (Markowitz) keeps
+        # the fill-in of the updates down
+        low = min(abs(pending[i][col]) for i in cands)
+        best = min((i for i in cands if abs(pending[i][col]) == low),
+                   key=lambda i: (len(pending[i]) - pending[i].count(0), i))
         prow = _normalize(pending.pop(best))
         support = _support(prow)
         nxt = []

@@ -25,6 +25,9 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def _norm_coeff(c: Number) -> Number:
+    # the exact type test passes ints without the ABC machinery of isinstance
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return c.numerator
@@ -366,6 +369,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Parentheses and unary minus signs nest the recursive descent, at most four
 # frames a level; deeper input is refused well before Python's recursion limit.
 MAX_NESTING = 100
+# A `^` or `*` that would build a polynomial of higher (weighted) degree is
+# refused before it expands: a short string such as (x1+x2+y+z)^80 would
+# otherwise take minutes.  No shipped string goes above degree 9.
+MAX_PARSE_DEGREE = 64
 
 
 class _Parser:
@@ -394,6 +401,11 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise PolyParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+
+    @staticmethod
+    def bound_degree(degree: int, pos: int):
+        if degree > MAX_PARSE_DEGREE:
+            raise PolyParseError(f"degree {degree} above the limit {MAX_PARSE_DEGREE}", pos)
 
     def parse(self) -> Poly:
         p = self.expr()
@@ -426,7 +438,9 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                p = p * self.factor()
+                q = self.factor()
+                self.bound_degree((p.degree() or 0) + (q.degree() or 0), pos)
+                p = p * q
             else:
                 return p
 
@@ -439,14 +453,16 @@ class _Parser:
             self.depth -= 1
             return p
         base = self.atom()
-        kind, val, pos = self.peek()
+        kind, val, caret = self.peek()
         if kind == "op" and val == "^":
             self.advance()
             kind, val, pos = self.peek()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            return base ** int(val)
+            e = int(val)
+            self.bound_degree((base.degree() or 0) * e, caret)
+            return base ** e
         return base
 
     def atom(self) -> Poly:

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux import linalg
 from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
-from godeaux.linalg import SpanBuilder
+from godeaux.linalg import Echelon, SpanBuilder
 from godeaux.poly import Poly, WeightedRing, divide, evaluate, format_poly, parse_poly
 
 DESCEND_DIMS = [1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67]
@@ -169,6 +170,50 @@ class TestFourcanonical:
         report = pipe.fourcanonical(d_max=4)
         assert report["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120}
         assert report["second_differences"] == {3: 20, 4: 16}
+
+    def test_spans_match_all_monomials(self, pipe):
+        # degree d eliminates only the products grown from the pivots of
+        # degree d - 1; the rank of every monomial product is the reference
+        assert pipe.fourcanonical()["h"] == {0: 1, **_all_monomial_ranks(pipe, 5)}
+
+    def test_larger_d_max_continues(self):
+        grown = Pipeline(load_instance())
+        grown.fourcanonical(d_max=5)
+        assert grown.fourcanonical(d_max=6) == Pipeline(load_instance()).fourcanonical(d_max=6)
+
+    def test_elimination_work_guard(self, pipe, monkeypatch):
+        # the row updates of one forward elimination of every degree-5
+        # product of the quartics (211 rows, 462 columns); fill-reducing
+        # pivot rows took the count from 4529 to 3675, and it must not rise
+        qring, cache = _quartic_products(pipe)
+        cols = [pipe.quotient.coordinates(cache.get(beta), 20) for beta in qring.monomials(5)]
+        calls = 0
+        update = linalg._cross_eliminate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return update(*args)
+
+        monkeypatch.setattr(linalg, "_cross_eliminate", counted)
+        assert Echelon(zip(*cols), len(cols)).rank == 190
+        assert calls <= 3675
+
+
+def _quartic_products(pipe):
+    """The ring of monomials in the quartics, and a fresh cache of their
+    products in S/f."""
+    quartics = pipe.descend_polys(4)
+    qring = WeightedRing([f"q{i}" for i in range(len(quartics))], [1] * len(quartics))
+    return qring, pipe._products(quartics)
+
+
+def _all_monomial_ranks(pipe, d_max):
+    """h(d) as the rank of the products of every degree-d monomial in the
+    quartics, the formula used before spans were grown from pivots."""
+    qring, cache = _quartic_products(pipe)
+    return {d: pipe._image(cache, qring.monomials(d), 4 * d)[1].rank
+            for d in range(1, d_max + 1)}
 
 
 def _replay_empty_certificate(pipe, m, certificate):

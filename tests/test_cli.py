@@ -287,9 +287,26 @@ class TestInputErrors:
          shipped_with(("configs", 0, "components", 0, "branches", 0, "node_preimages"), True,
                       "defcalc.json"),
          "configs.0.components.0.branches.0.node_preimages must be an integer, not true or false"),
+        (["verify", "tricanonical"], shipped_with(("modulus",), "(x1+x2+y+z)^80"),
+         "modulus: degree 240 above the limit 64 (at position 11)"),
+        (["canring"], shipped_with(("modulus",), "z^2+y^3+"),
+         "modulus: unexpected end of input (at position 8)"),
+        (["canring"], shipped_with(("reference_generators", 1, "polynomial"), "x1*w"),
+         "reference_generators.1.polynomial: unknown variable 'w' (at position 3)"),
+        (["verify", "tricanonical"], shipped_with(("tricanonical", "reference_form"), "z2^9-"),
+         "tricanonical.reference_form: unexpected end of input (at position 5)"),
+        (["canring"], shipped_with(("curve_factors", 1), ["a2", "a2"]),
+         "curve_factors.1: duplicate variable name"),
+        (["canring"], shipped_with(("residue_images", 2), ["-a1*b1", "-a2*b2^2"]),
+         "residue_images.2: components of unequal degree"),
+        (["canring"], shipped_with(("tau_generators", 0), ["a1", "c2"]),
+         "tau_generators.0: unknown variable 'c2' (at position 0)"),
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
             "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
-            "boolean-relator-letter", "boolean-weight", "boolean-node-preimages"])
+            "boolean-relator-letter", "boolean-weight", "boolean-node-preimages",
+            "modulus-degree-240", "modulus-unfinished", "reference-generator-unknown-variable",
+            "tricanonical-form-unfinished", "curve-factor-duplicate-name",
+            "residue-image-unequal-degrees", "tau-generator-unknown-variable"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):
         # each of these once crashed mid-run with a traceback, printed a bare
         # field name or read a boolean as 0 or 1; the loader now refuses
@@ -315,7 +332,7 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "verify", "tricanonical", "--instance", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {path}: nesting deeper than ")
+        assert err.startswith(f"error: {path}: modulus: nesting deeper than ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field, value, message", [

@@ -20,6 +20,7 @@ from godeaux.linalg import (
     Echelon,
     SpanBuilder,
     _cross_eliminate,
+    _forward,
     _support,
     det_int,
     kernel_basis,
@@ -121,6 +122,12 @@ class TestEchelon:
     def test_row_length_checked_while_reading(self):
         with pytest.raises(ValueError):
             Echelon(iter([[1, 2], [3]]), 2)
+
+    def test_sparsest_row_breaks_a_tie(self):
+        # both rows offer a pivot of magnitude 1 in column 0; the sparser one
+        # is taken, so the update touches one entry instead of four
+        pivots = _forward([[1, 1, 1, 1], [-1, 0, 0, 0]], 4)
+        assert pivots == [(0, [1, 0, 0, 0]), (1, [0, 1, 1, 1])]
 
 
 class TestKernel:
@@ -353,6 +360,19 @@ def dense_cross_eliminate(row, prow, col):
 
 
 @st.composite
+def tied_matrices(draw):
+    """Wide, mostly zero matrices whose nonzero entries are mostly 1 or -1,
+    so rows often tie on the smallest pivot magnitude with different
+    supports; the first two rows always tie in column 0."""
+    ncols = draw(st.integers(4, 14))
+    entry = st.sampled_from([0] * 8 + [1, -1, 1, -1, 2, -3, F(1, 2)])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=2, max_size=9))
+    rows[0][0], rows[1][0] = 1, -1
+    return rows, ncols
+
+
+@st.composite
 def cross_cases(draw):
     """A row, a pivot row and a column where both are nonzero, with the
     pivot multiplier p/gcd(p, a) drawn as 1, -1 or something else."""
@@ -403,6 +423,19 @@ class TestKernelOracle:
         assert res.rows == reduced + [zero] * (len(rows) - len(reduced))
         assert (res.pivot_columns, res.rank) == (pivots, len(pivots))
         assert rows == before
+
+    @ORACLE
+    @given(tied_matrices(), st.randoms(use_true_random=False))
+    def test_row_order_does_not_matter(self, matrix, rnd):
+        # the pivot row chosen on a tie depends on the row order and on the
+        # supports; the rank, pivot columns, kernel and RREF do not
+        rows, ncols = matrix
+        shuffled = rows[:]
+        rnd.shuffle(shuffled)
+        first, second = Echelon(rows, ncols), Echelon(shuffled, ncols)
+        assert (second.rank, second.pivot_columns) == (first.rank, first.pivot_columns)
+        assert second.kernel() == first.kernel() == reference_kernel(rows, ncols)
+        assert rref(shuffled, ncols) == rref(rows, ncols)
 
     @ORACLE
     @given(matrices(max_rows=5), st.data())

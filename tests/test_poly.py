@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from godeaux.poly import (
     MAX_NESTING,
+    MAX_PARSE_DEGREE,
     Poly,
     PolyParseError,
     WeightedRing,
@@ -288,6 +289,18 @@ class TestGrammar:
         assert parse_poly("(--" * half + "x1" + ")" * half, ring) == x
         with pytest.raises(PolyParseError):
             parse_poly("(--" * (half + 1) + "x1" + ")" * (half + 1), ring)
+
+    def test_degree_limit(self, ring):
+        # weighted degree: x1 and x2 weigh 1, y 2 and z 3
+        assert parse_poly(f"x1^{MAX_PARSE_DEGREE}", ring).degree() == MAX_PARSE_DEGREE
+        assert parse_poly("x1^40*y^12", ring).degree() == MAX_PARSE_DEGREE
+        # refused at the operator, before the power or product is expanded;
+        # (x1+x2+y+z)^80 once took more than 13 s
+        for text, position in [("x2+(x1+x2+y+z)^80", 14), ("x1^40*z^9", 5),
+                               (f"(x1^{MAX_PARSE_DEGREE})^2", 7), ("y^20*(z^9)", 4)]:
+            with pytest.raises(PolyParseError, match="above the limit") as info:
+                parse_poly(text, ring)
+            assert info.value.position == position
 
 
 # -- grammar fuzz ------------------------------------------------------------
