@@ -16,7 +16,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
-from .linalg import Echelon, Number, kernel_basis, membership, rank_of, rref
+from .linalg import Echelon, Number, kernel_basis, membership, rank_of
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
@@ -81,17 +81,17 @@ class RelationSet:
 class Pipeline:
     """All graded computations for one instance, with shared caches.
 
-    Monomial products of an element list are built once each by a
-    `_ProductCache`: the residues of the ambient variables for the descent,
-    and generator lists in S/f for everything else, where
-    `HypersurfaceRing.multiply` returns each product in normal form.  Every
-    product matrix, the products of a generator list as vectors in one
-    graded piece of S/f, is built and eliminated once by `_image`, and its
-    `Echelon` answers the questions asked of it: the rank, the pivot columns
-    (the greedy choice of independent products, used for new generators and
-    spanning checks), the kernel (relations), and solutions restricted to
-    the pivot columns (base-locus certificates).  The images of the
-    reference generators are shared by `verify_reference` and `relations`.
+    Each descent space is read off one kernel (`descend_space`).  Monomial
+    products of an element list are built once each by a `_ProductCache`:
+    the residues of the ambient variables for the descent, and generator
+    lists in S/f for everything else, each product in normal form.  Every
+    product matrix is built and eliminated once by `_image`, and its
+    `Echelon` gives the rank, the pivot columns (new generators) and the
+    kernel (relations, the tricanonical form).  A spanning check adds one
+    `rank_of` of the descend vectors with the pivot products, and a
+    base-locus certificate one `membership` of a pure power in them.  The
+    reference generators, their presentation ring and their product cache
+    are built with the pipeline.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -103,11 +103,13 @@ class Pipeline:
         self._descend_polys: dict[int, list[Poly]] = {}
         self._residues = _ProductCache(instance.residue.images, instance.curve.one())
         self._computed: Optional[GeneratorSet] = None
-        self._reference: Optional[GeneratorSet] = None
-        self._reference_cache: Optional[_ProductCache] = None
+        self.reference_generators = GeneratorSet(list(instance.reference_generators))
+        degrees = self.reference_generators.degrees()
+        self.presentation_ring = WeightedRing([f"T{i + 1}" for i in range(len(degrees))],
+                                              degrees)
+        self._reference_products = self._products(self.reference_generators.polynomials())
         self._reference_images: dict[int, tuple[list[list[Number]], Echelon]] = {}
         self._relations: Optional[RelationSet] = None
-        self._tring: Optional[WeightedRing] = None
         self._quartics: Optional[_ProductCache] = None
         self._quartic_monos: list[Monomial] = []
         self._quartic_ranks: dict[int, int] = {}
@@ -128,25 +130,26 @@ class Pipeline:
     # -- the descent condition ------------------------------------------
 
     def descend_space(self, m: int) -> list[list[Fraction]]:
-        """Reduced basis of the degree-m piece, as vectors over the
-        monomial basis of the quotient."""
+        """Reduced row echelon basis of the degree-m piece (the x whose
+        residue lies in the tau subring), over the monomial basis of S/f.
+
+        The kernel columns are the tau basis vectors, then the residues of
+        the basis monomials in reverse order.  A free tau column's kernel
+        vector is zero past the tau columns and is dropped.  A free residue
+        column's has a 1 there, zeros at the other free columns and nonzeros
+        only at pivot columns before it: read backwards, it is a basis row.
+        """
         if m < 0:
             raise ValueError("degree must be nonnegative")
         cached = self._descend.get(m)
         if cached is not None:
             return cached
-        basis = self.quotient.degree_basis(m)
-        n = len(basis)
-        cols = [self._residues.get(mono).coordinate_vector(m) for mono in basis]
-        for tvec in self.instance.tau.basis_vectors(m):
-            cols.append([-x for x in tvec])
-        kern = kernel_basis(zip(*cols), len(cols))
-        cvecs = [v[:n] for v in kern]
-        if cvecs:
-            red = rref(cvecs, n)
-            vecs = [row[:] for row in red.rows[: red.rank]]
-        else:
-            vecs = []
+        taus = self.instance.tau.basis_vectors(m)
+        cols = taus + [self._residues.get(mono).coordinate_vector(m)
+                       for mono in reversed(self.quotient.degree_basis(m))]
+        k = len(taus)
+        vecs = [v[k:][::-1] for v in reversed(kernel_basis(zip(*cols), len(cols)))
+                if any(v[k:])]
         self._descend[m] = vecs
         return vecs
 
@@ -189,22 +192,11 @@ class Pipeline:
             cols, image = self._image(cache, monos, m, vectors)
             for j in image.pivot_columns:
                 if j >= len(cols):
-                    vec = vectors[j - len(cols)]
-                    poly = self.quotient.from_vector(m, vec).content_normalized()
+                    poly = self.descend_polys(m)[j - len(cols)]
                     gens.append((poly, m))
                     cache.elements.append(poly)
         self._computed = GeneratorSet(gens)
         return self._computed
-
-    def reference_generators(self) -> GeneratorSet:
-        if self._reference is None:
-            self._reference = GeneratorSet(list(self.instance.reference_generators))
-        return self._reference
-
-    def _reference_products(self) -> _ProductCache:
-        if self._reference_cache is None:
-            self._reference_cache = self._products(self.reference_generators().polynomials())
-        return self._reference_cache
 
     def _reference_image(self, m: int) -> tuple[list[list[Number]], Echelon]:
         """Image of the degree-m monomials of the presentation ring.  Until
@@ -212,8 +204,8 @@ class Pipeline:
         it has read the kernel."""
         got = self._reference_images.get(m)
         if got is None:
-            got = self._image(self._reference_products(),
-                              self.presentation_ring().monomials(m), m)
+            got = self._image(self._reference_products,
+                              self.presentation_ring.monomials(m), m)
             if self._relations is None:
                 self._reference_images[m] = got
         return got
@@ -221,7 +213,7 @@ class Pipeline:
     def verify_reference(self) -> dict:
         """Membership of each listed generator plus graded spanning checks."""
         self.precompute_descend()
-        gens = self.reference_generators()
+        gens = self.reference_generators
         members = []
         for idx, (poly, d) in enumerate(gens.generators):
             vec = self.quotient.coefficient_vector(poly, d)
@@ -246,13 +238,6 @@ class Pipeline:
 
     # -- relations -------------------------------------------------------
 
-    def presentation_ring(self) -> WeightedRing:
-        if self._tring is None:
-            count = len(self.reference_generators().generators)
-            self._tring = WeightedRing([f"T{i + 1}" for i in range(count)],
-                                       self.reference_generators().degrees())
-        return self._tring
-
     def relations(self) -> RelationSet:
         """Minimal relations against the reference generator list.
 
@@ -267,7 +252,7 @@ class Pipeline:
         """
         if self._relations is not None:
             return self._relations
-        tring = self.presentation_ring()
+        tring = self.presentation_ring
         rels: list[tuple[Poly, int]] = []
         ideal_ranks: dict[int, int] = {}
         for m in range(4, self.max_degree + 1):
@@ -295,7 +280,7 @@ class Pipeline:
     def relation_defects(self) -> list[int]:
         """Indices of relations that fail the independent substitution check."""
         rels = self.relations()
-        gens = self.reference_generators().polynomials()
+        gens = self.reference_generators.polynomials()
         bad = []
         for i, (rpoly, _) in enumerate(rels.relations):
             value = evaluate(rpoly, gens, self.ring.zero(), self.ring.one())
@@ -354,9 +339,9 @@ class Pipeline:
         inst = self.instance
         zring = inst.tricanonical_ring
         nvars = zring.n
-        gammas = [self.reference_generators().generators[i][0]
-                  for i in inst.tricanonical_indices]
-        gdeg = self.reference_generators().generators[inst.tricanonical_indices[0]][1]
+        gens = self.reference_generators.generators
+        gammas = [gens[i][0] for i in inst.tricanonical_indices]
+        gdeg = gens[inst.tricanonical_indices[0]][1]
         cache = self._products(gammas)
         monos = zring.monomials(9)
         nine = self._image(cache, monos, gdeg * 9)[1]
@@ -379,20 +364,18 @@ class Pipeline:
         report["computed_form"] = format_poly(form)
 
         reference = inst.tricanonical_reference.content_normalized()
-        matches = []
+        # permutations come in lexicographic order, so the first match is the
+        # least assignment
         for sigma in permutations(range(nvars)):
-            permuted = Poly(zring, {tuple(mono[sigma[i]] for i in range(nvars)): c
-                                    for mono, c in form.coeffs.items()})
-            if permuted.content_normalized() == reference:
-                matches.append(sigma)
-        if not matches:
+            matched = Poly(zring, {tuple(mono[sigma[i]] for i in range(nvars)): c
+                                   for mono, c in form.coeffs.items()}).content_normalized()
+            if matched == reference:
+                break
+        else:
             report["status"] = "FAIL"
             report["assignment"] = None
             return report
-        sigma = min(matches)
         assigned = [gammas[sigma[i]] for i in range(nvars)]
-        matched = Poly(zring, {tuple(mono[sigma[i]] for i in range(nvars)): c
-                               for mono, c in form.coeffs.items()}).content_normalized()
         substituted = evaluate(matched, assigned, self.ring.zero(), self.ring.one())
         vanishes = self.quotient.normal_form(substituted).is_zero
         report["assignment"] = list(sigma)
@@ -565,9 +548,9 @@ class Pipeline:
                     "polynomials": [format_poly(p) for p in computed.polynomials()],
                 },
                 "reference": {
-                    "degrees": self.reference_generators().degrees(),
+                    "degrees": self.reference_generators.degrees(),
                     "polynomials": [format_poly(p) for p
-                                    in self.reference_generators().polynomials()],
+                                    in self.reference_generators.polynomials()],
                     "verified": reference_report["ok"],
                 },
             },

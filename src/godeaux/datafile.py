@@ -3,7 +3,9 @@
 `load` runs a module's builder on the decoded top-level object.  Builders
 type-check every field a command reads and raise KeyError, TypeError or
 ValueError on what they refuse; `load` reports those, and any failure to
-read or decode the file, as one InputError naming the file.
+read or decode the file, as one InputError naming the file.  A builder
+passes a value to a constructor through `made`, which prefixes a ValueError
+the constructor raises with the value's dotted path.
 """
 
 import json
@@ -19,6 +21,16 @@ _REQUIRED = object()
 
 class InputError(Exception):
     """A data file or flag value the program refuses (exit status 2)."""
+
+
+class FieldError(ValueError):
+    """A ValueError about one part of a constructor's input, named by its
+    dotted path `field` relative to that input (`boundaries.1`)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
 
 
 def typed(value, kind: type, where: str, of=None):
@@ -49,6 +61,17 @@ def pair(value, where: str, of=None) -> list:
     if len(typed(value, list, where, of)) != 2:
         raise ValueError(f"{where} must be a pair")
     return value
+
+
+def made(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a ValueError it raises prefixed by the
+    dotted path of the value refused: `where`, extended by a FieldError's field."""
+    try:
+        return make(*args, **kwargs)
+    except FieldError as exc:
+        raise ValueError(f"{where}.{exc.field}: {exc.message}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load(name: str, path: Optional[str], build: Callable[[dict], T]) -> T:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .datafile import get, load, pair, typed
+from .datafile import get, load, made, pair, typed
 from .poly import Poly, WeightedRing, parse_poly
 from .quotient import HypersurfaceRing
 from .residue import CurveElement, CurveRing, ResidueMap, TauSubring
@@ -36,17 +36,9 @@ def _checked_expected(raw: dict) -> dict:
     return exp
 
 
-def _at(where: str, build, *args):
-    """`build(*args)`, with a ValueError naming the field `where`."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def _element(curve: CurveRing, where: str, texts) -> CurveElement:
     """The curve element given by the pair of grammar strings at `where`."""
-    return _at(where, curve.element, *pair(texts, where, of=str))
+    return made(where, curve.element, *pair(texts, where, of=str))
 
 
 def _parse_witness(key: str, cfg, nvars: int) -> Witness:
@@ -57,8 +49,8 @@ def _parse_witness(key: str, cfg, nvars: int) -> Witness:
         raise ValueError(f"{where}: the point must list one coordinate per ring "
                          f"variable ({nvars}), got {point!r}")
     tring = WeightedRing(["t"], [1])
-    mu = _at(where, parse_poly, text, tring)
-    coords = tuple(_at(where, parse_poly, c, tring) for c in point)
+    mu = made(where, parse_poly, text, tring)
+    coords = tuple(made(where, parse_poly, c, tring) for c in point)
     if (mu.degree() or 0) < 1:
         raise ValueError(f"{where}: the minimal polynomial must have degree at least 1")
     return Witness(text, tuple(point), mu, coords)
@@ -72,13 +64,13 @@ class Instance:
         ring_cfg = get(raw, "ring", dict)
         self.ring = WeightedRing(get(ring_cfg, "names", list, "ring", of=str),
                                  get(ring_cfg, "weights", list, "ring", of=int))
-        modulus = _at("modulus", parse_poly, get(raw, "modulus", str), self.ring)
+        modulus = made("modulus", parse_poly, get(raw, "modulus", str), self.ring)
         self.quotient = HypersurfaceRing(self.ring, modulus)
 
         factors = pair(get(raw, "curve_factors", list), "curve_factors")
         # each factor's names are checked on their own, so an error names it
-        names = [_at(f"curve_factors.{i}", WeightedRing,
-                     pair(f, f"curve_factors.{i}", of=str), [1, 1]).names
+        names = [made(f"curve_factors.{i}", WeightedRing,
+                      pair(f, f"curve_factors.{i}", of=str), [1, 1]).names
                  for i, f in enumerate(factors)]
         self.curve = CurveRing(*names)
         images = [_element(self.curve, f"residue_images.{i}", texts)
@@ -93,7 +85,7 @@ class Instance:
         for i, entry in enumerate(get(raw, "reference_generators", list)):
             where = f"reference_generators.{i}"
             text = get(typed(entry, dict, where), "polynomial", str, where)
-            p = _at(f"{where}.polynomial", parse_poly, text, self.ring)
+            p = made(f"{where}.polynomial", parse_poly, text, self.ring)
             d = get(entry, "degree", int, where)
             if p.is_zero or p.homogeneous_degree() != d:
                 raise ValueError(f"generator {text!r} is not homogeneous of degree {d}")
@@ -114,7 +106,7 @@ class Instance:
         if len({degs[i] for i in indices}) != 1:
             raise ValueError("tricanonical: the indexed generators must share one degree")
         self.tricanonical_indices = indices
-        self.tricanonical_reference = _at(
+        self.tricanonical_reference = made(
             "tricanonical.reference_form", parse_poly,
             get(tri, "reference_form", str, "tricanonical"), self.tricanonical_ring)
 

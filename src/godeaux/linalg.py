@@ -178,6 +178,7 @@ def rref(rows: Sequence[Sequence[Number]], ncols: int) -> RrefResult:
 
     Returns the full matrix, same shape as the input, with zero rows at the
     bottom.  The result is the canonical RREF, unique for the row space.
+    The program does not call it; the tests use it as a reference.
     """
     irows = _int_rows(rows, ncols)
     pivots = _back_substitute(_forward(irows, ncols))
@@ -270,9 +271,8 @@ class SpanBuilder:
 
     Rows are stored as integer vectors with content 1 and positive pivot;
     insertion order does not affect the span, and the stored rows are the
-    canonical RREF of everything inserted so far.  The program itself
-    eliminates with `Echelon` only; this class is kept as the tests'
-    independent incremental reference.
+    canonical RREF of everything inserted so far.  The program does not
+    use it; it is kept as the tests' independent incremental reference.
     """
 
     def __init__(self, width: int):

@@ -373,6 +373,15 @@ MAX_NESTING = 100
 # refused before it expands: a short string such as (x1+x2+y+z)^80 would
 # otherwise take minutes.  No shipped string goes above degree 9.
 MAX_PARSE_DEGREE = 64
+# A `^` whose result could have a coefficient longer than this many bits is
+# refused before it expands too: a constant has degree 0, and 3^10000000
+# once took 8 s.  The estimate, exponent * (largest coefficient bit length +
+# bit length of the term count), bounds the coefficients of the power.
+MAX_PARSE_BITS = 4096
+
+
+def _coefficient_bits(c: Number) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 class _Parser:
@@ -462,6 +471,11 @@ class _Parser:
             self.advance()
             e = int(val)
             self.bound_degree((base.degree() or 0) * e, caret)
+            bits = e * (max(map(_coefficient_bits, base.coeffs.values()), default=0)
+                        + len(base.coeffs).bit_length())
+            if bits > MAX_PARSE_BITS:
+                raise PolyParseError(f"coefficients of up to {bits} bits, above the limit "
+                                     f"{MAX_PARSE_BITS}", caret)
             return base ** e
         return base
 

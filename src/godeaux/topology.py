@@ -10,23 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .datafile import get, load, pair, typed
+from .datafile import FieldError, get, load, made, pair, typed
 from .linalg import mat_mul_int, smith_normal_form
 
 MatrixZ = list[list[int]]
 Word = tuple[int, ...]
 
 AMBIGUOUS = "AMBIGUOUS"
-
-
-class FieldError(ValueError):
-    """A ValueError about one part of a constructor's input, named by its
-    dotted path `field` relative to that input (`boundaries.1`)."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message
 
 
 def _check_matrix(mat: Sequence[Sequence[int]], nrows: int, ncols: int,
@@ -445,17 +435,6 @@ def replay_certificate(g: GroupPresentation, steps: Sequence[dict]) -> GroupPres
 # -- shipped data --------------------------------------------------------
 
 
-def _made(where: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, with a ValueError it raises prefixed by the
-    dotted path of the value refused: `where`, extended by a FieldError's field."""
-    try:
-        return make(*args, **kwargs)
-    except FieldError as exc:
-        raise ValueError(f"{where}.{exc.field}: {exc.message}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def _each(obj: dict, key: str, where: str, item) -> list:
     """`item(value, path)` for each entry of the array field `key` of `obj`."""
     return [item(value, f"{where}.{key}.{i}")
@@ -469,8 +448,8 @@ def _matrix(value, where: str) -> MatrixZ:
 
 def _group(value, where: str) -> AbelianGroup:
     rank, torsion = pair(value, where)
-    return _made(where, AbelianGroup, typed(rank, int, f"{where}.0"),
-                 tuple(typed(torsion, list, f"{where}.1", of=int)))
+    return made(where, AbelianGroup, typed(rank, int, f"{where}.0"),
+                tuple(typed(torsion, list, f"{where}.1", of=int)))
 
 
 def _relator(value, where: str) -> Word:
@@ -479,18 +458,18 @@ def _relator(value, where: str) -> Word:
 
 def _build(raw: dict) -> dict:
     model = get(raw, "glued_chain_model", dict)
-    complex_ = _made("glued_chain_model", ChainComplexZ,
-                     get(model, "ranks", list, "glued_chain_model", of=int),
-                     _each(model, "boundaries", "glued_chain_model", _matrix))
+    complex_ = made("glued_chain_model", ChainComplexZ,
+                    get(model, "ranks", list, "glued_chain_model", of=int),
+                    _each(model, "boundaries", "glued_chain_model", _matrix))
     mv = get(raw, "mayer_vietoris", dict)
-    data = _made("mayer_vietoris", MayerVietorisData,
-                 *(tuple(_each(mv, key, "mayer_vietoris", _group))
-                   for key in ("curve_cover", "curve", "surface")),
-                 maps=tuple(_each(mv, "maps", "mayer_vietoris", _matrix)))
+    data = made("mayer_vietoris", MayerVietorisData,
+                *(tuple(_each(mv, key, "mayer_vietoris", _group))
+                  for key in ("curve_cover", "curve", "surface")),
+                maps=tuple(_each(mv, "maps", "mayer_vietoris", _matrix)))
     pres = get(raw, "presentation", dict)
-    presentation = _made("presentation", GroupPresentation,
-                         tuple(get(pres, "generators", list, "presentation", of=str)),
-                         tuple(_each(pres, "relators", "presentation", _relator)))
+    presentation = made("presentation", GroupPresentation,
+                        tuple(get(pres, "generators", list, "presentation", of=str)),
+                        tuple(_each(pres, "relators", "presentation", _relator)))
     expected = get(raw, "expected", dict, default={})
     if "glued_homology" in expected:
         _each(expected, "glued_homology", "expected", _group)

@@ -12,6 +12,7 @@ from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
 from godeaux.linalg import Echelon, SpanBuilder
 from godeaux.poly import Poly, WeightedRing, divide, evaluate, format_poly, parse_poly
+from godeaux.residue import TauSubring
 
 DESCEND_DIMS = [1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67]
 GENERATOR_DEGREES = [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5]
@@ -21,6 +22,20 @@ RELATION_COUNTS = {6: 6, 7: 12, 8: 18, 9: 12, 10: 6}
 @pytest.fixture(scope="module")
 def pipe():
     return Pipeline(load_instance(), max_degree=12)
+
+
+def projected_descend(instance, m):
+    """Oracle for `Pipeline.descend_space`: the kernel of [residues | -tau],
+    projected onto the residue coordinates and reduced by `rref`."""
+    basis = instance.quotient.degree_basis(m)
+    cols = [instance.residue.residue(Poly(instance.ring, {mono: 1}), m).coordinate_vector(m)
+            for mono in basis]
+    cols += [[-x for x in t] for t in instance.tau.basis_vectors(m)]
+    projected = [v[:len(basis)] for v in linalg.kernel_basis(zip(*cols), len(cols))]
+    if not projected:
+        return []
+    reduced = linalg.rref(projected, len(basis))
+    return reduced.rows[:reduced.rank]
 
 
 class TestDescend:
@@ -34,6 +49,24 @@ class TestDescend:
 
     def test_degree_one_empty(self, pipe):
         assert pipe.descend_polys(1) == []
+
+    def test_matches_projected_kernel(self):
+        instance = load_instance()
+        fresh = Pipeline(instance, max_degree=16)
+        for m in range(17):
+            assert fresh.descend_space(m) == projected_descend(instance, m), m
+
+    def test_dependent_tau_columns_dropped(self):
+        # with both generators u the tau basis vectors of degree m are m + 1
+        # copies of u^m, so m of the tau columns are free
+        instance = load_instance()
+        u = instance.tau.u
+        instance.tau = TauSubring(u, u)
+        fresh = Pipeline(instance)
+        assert linalg.rank_of(zip(*instance.tau.basis_vectors(3)), 4) == 1
+        for m in range(7):
+            assert fresh.descend_space(m) == projected_descend(instance, m), m
+        assert any(fresh.descend_space(m) for m in range(2, 7))
 
     def test_polys_satisfy_descent(self, pipe):
         # residue of every basis element lands in the invariant subring
@@ -82,7 +115,7 @@ class TestRelations:
         # oracle: insert every multiple and then every kernel vector, with no
         # stop once the ideal slice fills the kernel
         short = Pipeline(load_instance(), max_degree=11)
-        tring = short.presentation_ring()
+        tring = short.presentation_ring
         kernels = {m: short._reference_image(m)[1].kernel() for m in range(4, 12)}
         rels, ranks = [], {}
         for m in range(4, 12):
@@ -130,7 +163,7 @@ class TestTricanonical:
     def test_lower_degrees_injective_directly(self, pipe):
         # oracle for the degree-9 shortcut: eliminate degrees 1 to 8
         inst = pipe.instance
-        gens = pipe.reference_generators().generators
+        gens = pipe.reference_generators.generators
         cache = pipe._products([gens[i][0] for i in inst.tricanonical_indices])
         gdeg = gens[inst.tricanonical_indices[0]][1]
         for d in range(1, 9):

@@ -289,6 +289,8 @@ class TestInputErrors:
          "configs.0.components.0.branches.0.node_preimages must be an integer, not true or false"),
         (["verify", "tricanonical"], shipped_with(("modulus",), "(x1+x2+y+z)^80"),
          "modulus: degree 240 above the limit 64 (at position 11)"),
+        (["verify", "tricanonical"], shipped_with(("modulus",), "3^10000000"),
+         "modulus: coefficients of up to 30000000 bits, above the limit 4096 (at position 1)"),
         (["canring"], shipped_with(("modulus",), "z^2+y^3+"),
          "modulus: unexpected end of input (at position 8)"),
         (["canring"], shipped_with(("reference_generators", 1, "polynomial"), "x1*w"),
@@ -304,7 +306,7 @@ class TestInputErrors:
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
             "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
             "boolean-relator-letter", "boolean-weight", "boolean-node-preimages",
-            "modulus-degree-240", "modulus-unfinished", "reference-generator-unknown-variable",
+            "modulus-degree-240", "modulus-huge-coefficient", "modulus-unfinished", "reference-generator-unknown-variable",
             "tricanonical-form-unfinished", "curve-factor-duplicate-name",
             "residue-image-unequal-degrees", "tau-generator-unknown-variable"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):

@@ -1,0 +1,63 @@
+"""Source invariants of the program: it imports the standard library only,
+and its arithmetic is exact (no float, and every division is of a
+Fraction)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "godeaux").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _is_fraction(node) -> bool:
+    """`Fraction(...)`, possibly negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction")
+
+
+def test_sources_found():
+    assert len(SOURCES) > 5
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, \
+                f"{path.name}:{node.lineno} imports {name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats(path):
+    for node in ast.walk(_tree(path)):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), \
+            f"{path.name}:{node.lineno} has a float constant"
+        assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"), f"{path.name}:{node.lineno} calls float"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_divisions_are_of_fractions(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = [node.value]
+        else:
+            continue
+        assert any(map(_is_fraction, operands)), \
+            f"{path.name}:{node.lineno} divides without a Fraction operand"

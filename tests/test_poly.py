@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from godeaux.poly import (
     MAX_NESTING,
+    MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     Poly,
     PolyParseError,
@@ -299,6 +300,15 @@ class TestGrammar:
         for text, position in [("x2+(x1+x2+y+z)^80", 14), ("x1^40*z^9", 5),
                                (f"(x1^{MAX_PARSE_DEGREE})^2", 7), ("y^20*(z^9)", 4)]:
             with pytest.raises(PolyParseError, match="above the limit") as info:
+                parse_poly(text, ring)
+            assert info.value.position == position
+
+    def test_coefficient_limit(self, ring):
+        # a constant has degree 0, so only the coefficient bound refuses
+        # these; each once took about 8 s to expand
+        assert parse_poly("3^1000", ring).coeffs[(0, 0, 0, 0)] == 3 ** 1000
+        for text, position in [("3^10000000", 1), ("(((3^64)^64)^64)^64", 8)]:
+            with pytest.raises(PolyParseError, match=f"above the limit {MAX_PARSE_BITS}") as info:
                 parse_poly(text, ring)
             assert info.value.position == position
 
