@@ -16,7 +16,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
-from .linalg import Echelon, Number, kernel_basis, membership, rank_of
+from .linalg import Column, Echelon, Number, dense, membership, rank_of, sparse
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
@@ -85,13 +85,14 @@ class Pipeline:
     products of an element list are built once each by a `_ProductCache`:
     the residues of the ambient variables for the descent, and generator
     lists in S/f for everything else, each product in normal form.  Every
-    product matrix is built and eliminated once by `_image`, and its
-    `Echelon` gives the rank, the pivot columns (new generators) and the
-    kernel (relations, the tricanonical form).  A spanning check adds one
-    `rank_of` of the descend vectors with the pivot products, and a
-    base-locus certificate one `membership` of a pure power in them.  The
-    reference generators, their presentation ring and their product cache
-    are built with the pipeline.
+    product matrix is built and eliminated once by `_image`, its columns
+    read sparse off the products' terms, and its `Echelon` gives the rank,
+    the pivot columns (new generators) and the kernel (relations, the
+    tricanonical form).  A spanning check adds one `rank_of` of the descend
+    vectors with the pivot products, and a base-locus certificate one
+    `membership` of a pure power in them; those pivot columns alone are made
+    dense.  The reference generators, their presentation ring and their
+    product cache are built with the pipeline.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -108,7 +109,7 @@ class Pipeline:
         self.presentation_ring = WeightedRing([f"T{i + 1}" for i in range(len(degrees))],
                                               degrees)
         self._reference_products = self._products(self.reference_generators.polynomials())
-        self._reference_images: dict[int, tuple[list[list[Number]], Echelon]] = {}
+        self._reference_images: dict[int, tuple[list[Column], Echelon]] = {}
         self._relations: Optional[RelationSet] = None
         self._quartics: Optional[_ProductCache] = None
         self._quartic_monos: list[Monomial] = []
@@ -119,13 +120,14 @@ class Pipeline:
         return _ProductCache(elements, self.ring.one(), self.quotient.multiply)
 
     def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
-               extra: Sequence[Sequence[Number]] = ()) -> tuple[list[list[Number]], Echelon]:
-        """The products `monos` of `cache.elements` as coefficient vectors in
-        degree `degree`, and the elimination of the matrix with those
-        columns followed by the `extra` ones."""
-        cols = [self.quotient.coordinates(cache.get(beta), degree)
-                for beta in monos]
-        return cols, Echelon(zip(*cols, *extra), len(cols) + len(extra))
+               extra: Sequence[Sequence[Number]] = ()) -> tuple[list[Column], Echelon]:
+        """The products `monos` of `cache.elements` as sparse coordinate
+        columns in degree `degree`, and the elimination of the matrix with
+        those columns followed by the dense `extra` ones."""
+        read = self.quotient.sparse_coordinates
+        cols = [read(cache.get(beta), degree) for beta in monos]
+        return cols, Echelon(cols + [sparse(v) for v in extra],
+                             len(self.quotient.degree_basis(degree)))
 
     # -- the descent condition ------------------------------------------
 
@@ -148,8 +150,9 @@ class Pipeline:
         cols = taus + [self._residues.get(mono).coordinate_vector(m)
                        for mono in reversed(self.quotient.degree_basis(m))]
         k = len(taus)
-        vecs = [v[k:][::-1] for v in reversed(kernel_basis(zip(*cols), len(cols)))
-                if any(v[k:])]
+        # the m + 1 tau vectors are never empty, so the first gives the height
+        kernel = Echelon([sparse(c) for c in cols], len(cols[0])).kernel()
+        vecs = [v[k:][::-1] for v in reversed(kernel) if any(v[k:])]
         self._descend[m] = vecs
         return vecs
 
@@ -198,7 +201,7 @@ class Pipeline:
         self._computed = GeneratorSet(gens)
         return self._computed
 
-    def _reference_image(self, m: int) -> tuple[list[list[Number]], Echelon]:
+    def _reference_image(self, m: int) -> tuple[list[Column], Echelon]:
         """Image of the degree-m monomials of the presentation ring.  Until
         the relations are known it is kept, and `relations` releases it once
         it has read the kernel."""
@@ -227,8 +230,8 @@ class Pipeline:
             # the pivot columns span every product, and the descend vectors
             # are independent, so the products lie in the descend space iff
             # adding the pivot columns to it raises no rank
-            pivots = [cols[j] for j in image.pivot_columns]
             width = len(self.quotient.degree_basis(m))
+            pivots = [dense(cols[j], width) for j in image.pivot_columns]
             spans.append({"degree": m, "product_rank": image.rank,
                           "dimension": len(descend),
                           "spans": image.rank == len(descend)
@@ -259,16 +262,16 @@ class Pipeline:
             image = self._reference_image(m)[1]
             del self._reference_images[m]
             monos = tring.monomials(m)
-            multiples = [(Poly(tring, {gamma: 1}) * rpoly).coeffs
+            position = {mono: i for i, mono in enumerate(monos)}
+            multiples = [{position[mono]: c for mono, c
+                          in (Poly(tring, {gamma: 1}) * rpoly).coeffs.items()}
                          for rpoly, rdeg in rels for gamma in tring.monomials(m - rdeg)]
-            ideal = Echelon(([c.get(mono, 0) for c in multiples] for mono in monos),
-                            len(multiples))
+            ideal = Echelon(multiples, len(monos))
             rank = ideal.rank
             if rank < image.ncols - image.rank:
-                basis = [multiples[j] for j in ideal.pivot_columns]
                 kernel = image.kernel()
-                joint = Echelon(([c.get(mono, 0) for c in basis] + [k[i] for k in kernel]
-                                 for i, mono in enumerate(monos)), rank + len(kernel))
+                joint = Echelon([multiples[j] for j in ideal.pivot_columns]
+                                + [sparse(k) for k in kernel], len(monos))
                 for j in joint.pivot_columns[rank:]:
                     poly = Poly(tring, {mono: c for mono, c in zip(monos, kernel[j - rank])})
                     rels.append((poly.content_normalized(), m))
@@ -508,7 +511,7 @@ class Pipeline:
                 k = d // weights[i]
                 mono = tuple(k if j == i else 0 for j in range(n))
                 target = self.quotient.coefficient_vector(Poly(self.ring, {mono: 1}), d)
-                coeffs = membership(target, [cols[j] for j in pivots])
+                coeffs = membership(target, [dense(cols[j], len(target)) for j in pivots])
                 if coeffs is None:
                     continue
                 combination = []

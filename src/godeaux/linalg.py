@@ -1,16 +1,23 @@
-"""Exact dense linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals and the integers.
 
 Everything here is exact: entries are Python ints or fractions.Fraction, never
-floats, and there are no tolerances.  The elimination engine clears
-denominators row by row and works on integer rows with cross-multiplication
-updates; after every update the row is divided by its content (gcd of the
-entries, computed with an early exit, and read from the updated entries
-alone when their gcd is 1) so entries stay small in practice.
+floats, and there are no tolerances.
+
+An `Echelon` takes its matrix as columns, each a sparse {row index: entry}
+mapping, which is how the program's product vectors come.  Its integer rows
+are built in one pass over the nonzero entries, and only a row that holds a
+Fraction is scaled to integers (common denominator).  The elimination owns
+those rows and updates them in place with cross-multiplication; after every
+update the row is divided by its content (gcd of the entries, computed with
+an early exit, and read from the updated entries alone when their gcd is 1)
+so entries stay small in practice.  The dense-row entry points (`rank_of`,
+`kernel_basis`, `rref`, `membership`) read their matrix into such columns.
 
 Pivot rows are mostly zeros, so an update scales the row being reduced and
 then subtracts only at the pivot row's nonzero entries (its support, listed
 once per pivot row).  Off the support the pivot entry is zero, so every entry
-is the same integer a full-width update would give.
+is the same integer a full-width update would give, and only the support can
+change the row's nonzero count, which the forward pass keeps per row.
 
 The pivot row for a column is the one with the smallest pivot magnitude,
 which keeps coefficient growth down; among those, the one with the fewest
@@ -26,9 +33,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Number = int | Fraction
+Column = Mapping[int, Number]
+
+
+def sparse(vector: Sequence[Number]) -> dict[int, Number]:
+    """The {position: entry} mapping of a vector's nonzero entries."""
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+def dense(column: Column, length: int) -> list[Number]:
+    """The vector of `length` entries that holds `column`'s entries and zeros."""
+    vec: list[Number] = [0] * length
+    for i, x in column.items():
+        vec[i] = x
+    return vec
 
 
 def _as_int_row(row: Sequence[Number]) -> list[int]:
@@ -58,22 +79,21 @@ def _content(row: Sequence[int]) -> int:
     return g
 
 
-def _reduce_content(row: list[int]) -> list[int]:
+def _reduce_content(row: list[int]) -> None:
+    """Divide the row by its content, in place."""
     g = _content(row)
     if g > 1:
-        return [x // g for x in row]
-    return row
+        row[:] = [x // g for x in row]
 
 
-def _normalize(row: list[int]) -> list[int]:
-    """Divide by content and make the first nonzero entry positive."""
-    row = _reduce_content(row)
+def _normalize(row: list[int]) -> None:
+    """Divide by content and make the first nonzero entry positive, in place."""
+    _reduce_content(row)
     for x in row:
         if x:
             if x < 0:
-                return [-v for v in row]
-            return row
-    return row
+                row[:] = [-v for v in row]
+            return
 
 
 def _support(row: Sequence[int]) -> list[tuple[int, int]]:
@@ -81,89 +101,121 @@ def _support(row: Sequence[int]) -> list[tuple[int, int]]:
     return [(j, y) for j, y in enumerate(row) if y]
 
 
-def _cross_eliminate(row: list[int], prow: list[int], col: int,
-                     support: list[tuple[int, int]]) -> list[int]:
-    """Return p*row - a*prow scaled to kill row[col], content-reduced.
+def _cross_eliminate(row: list[int], prow: Sequence[int], col: int,
+                     support: list[tuple[int, int]], count: int) -> int:
+    """Replace `row` in place by p*row - a*prow, scaled to kill row[col] and
+    content-reduced; return `count` plus the change in its nonzero count.
 
     `support` is `_support(prow)`; only those entries are updated after the
-    scaling.  The input row is not modified.
+    scaling, so only they can change the count.  Given the row's nonzero
+    count, the result is its new one.  `prow` is not modified.
     """
     a = row[col]
     p = prow[col]
     g = gcd(p, a)
     mp, ma = p // g, a // g
-    if mp == 1:
-        out = row[:]
-    elif mp == -1:
-        out = [-x for x in row]
-    else:
-        out = [mp * x for x in row]
+    if mp == -1:
+        row[:] = [-x for x in row]
+    elif mp != 1:
+        row[:] = [mp * x for x in row]
     # the content divides the gcd of the updated entries, so a gcd of 1
     # there settles it without scanning the rest of the row
     g = 0
     for j, y in support:
-        v = out[j] - ma * y
-        out[j] = v
+        x = row[j]
+        v = x - ma * y
+        row[j] = v
+        # y and ma are nonzero, so a zero entry always becomes nonzero
+        if not x:
+            count += 1
+        elif not v:
+            count -= 1
         g = gcd(g, v)
-    if g == 1:
-        return out
-    return _reduce_content(out)
+    if g != 1:
+        _reduce_content(row)
+    return count
 
 
-def _forward(irows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
-    """Forward elimination; returns (pivot column, row) pairs, columns ascending."""
-    pending = [r for r in irows if any(r)]
+def _int_rows(columns: Sequence[Column], nrows: int) -> tuple[list[list[int]], list[int]]:
+    """Integer rows of the matrix with these columns, and each row's nonzero
+    count.  The caller's mappings are only read."""
+    ncols = len(columns)
+    rows: list[list] = [[0] * ncols for _ in range(nrows)]
+    counts = [0] * nrows
+    fractional = set()
+    for j, column in enumerate(columns):
+        if column and (min(column) < 0 or max(column) >= nrows):
+            raise ValueError("row index outside the matrix")
+        for i, x in column.items():
+            if x:
+                rows[i][j] = x
+                counts[i] += 1
+                if type(x) is not int:
+                    fractional.add(i)
+    for i in fractional:
+        rows[i] = _as_int_row(rows[i])
+    return rows, counts
+
+
+def _columns(rows: Iterable[Sequence[Number]], ncols: int) -> tuple[list[dict[int, Number]], int]:
+    """Sparse columns and the row count of a matrix given by dense rows,
+    checking each row length as it is read."""
+    columns: list[dict[int, Number]] = [{} for _ in range(ncols)]
+    nrows = 0
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("row length does not match ncols")
+        for j, x in enumerate(row):
+            if x:
+                columns[j][nrows] = x
+        nrows += 1
+    return columns, nrows
+
+
+def _forward(rows: list[list[int]], counts: list[int], ncols: int) -> list[tuple[int, list[int]]]:
+    """Forward elimination of `rows` in place, keeping `counts`, their
+    nonzero counts, up to date; returns (pivot column, row) pairs, columns
+    ascending."""
+    pending = [i for i, n in enumerate(counts) if n]
     pivots: list[tuple[int, list[int]]] = []
     for col in range(ncols):
         if not pending:
             break
-        cands = [i for i, r in enumerate(pending) if r[col]]
+        cands = [i for i in pending if rows[i][col]]
         if not cands:
             continue
         # smallest pivot magnitude keeps coefficient growth down; among
         # equal magnitudes the row with fewest nonzeros (Markowitz) keeps
-        # the fill-in of the updates down
-        low = min(abs(pending[i][col]) for i in cands)
-        best = min((i for i in cands if abs(pending[i][col]) == low),
-                   key=lambda i: (len(pending[i]) - pending[i].count(0), i))
-        prow = _normalize(pending.pop(best))
+        # the fill-in of the updates down; candidates ascend, so min keeps
+        # the first of a tie
+        low = min(abs(rows[i][col]) for i in cands)
+        best = min((i for i in cands if abs(rows[i][col]) == low), key=counts.__getitem__)
+        prow = rows[best]
+        _normalize(prow)
         support = _support(prow)
-        nxt = []
-        for r in pending:
-            if r[col]:
-                r = _cross_eliminate(r, prow, col, support)
-                if not any(r):
-                    continue
-            nxt.append(r)
-        pending = nxt
+        counts[best] = 0
+        for i in cands:
+            if i != best:
+                counts[i] = _cross_eliminate(rows[i], prow, col, support, counts[i])
+        pending = [i for i in pending if counts[i]]
         pivots.append((col, prow))
     return pivots
 
 
 def _back_substitute(pivots: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
-    """Make the echelon rows fully reduced (zeros above every pivot)."""
+    """Make the echelon rows fully reduced (zeros above every pivot), in place."""
     # supports[j] is the support of the finished row j, filled bottom up
     supports: list[list[tuple[int, int]]] = [[] for _ in pivots]
     for i in range(len(pivots) - 1, -1, -1):
-        col, row = pivots[i]
+        row = pivots[i][1]
         for j in range(i + 1, len(pivots)):
             cj, rowj = pivots[j]
             if row[cj]:
-                row = _cross_eliminate(row, rowj, cj, supports[j])
-        row = _normalize(row)
-        pivots[i] = (col, row)
+                # no nonzero count is kept here
+                _cross_eliminate(row, rowj, cj, supports[j], 0)
+        _normalize(row)
         supports[i] = _support(row)
     return pivots
-
-
-def _int_rows(rows: Iterable[Sequence[Number]], ncols: int) -> list[list[int]]:
-    """Integer rows of a matrix, checking each row length as it is read."""
-    out = []
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("row length does not match ncols")
-        out.append(_as_int_row(r))
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,21 +225,21 @@ class RrefResult:
     rank: int
 
 
-def rref(rows: Sequence[Sequence[Number]], ncols: int) -> RrefResult:
+def rref(rows: Iterable[Sequence[Number]], ncols: int) -> RrefResult:
     """Reduced row echelon form (pivots 1, zeros above and below each pivot).
 
     Returns the full matrix, same shape as the input, with zero rows at the
     bottom.  The result is the canonical RREF, unique for the row space.
     The program does not call it; the tests use it as a reference.
     """
-    irows = _int_rows(rows, ncols)
-    pivots = _back_substitute(_forward(irows, ncols))
+    columns, nrows = _columns(rows, ncols)
+    pivots = _back_substitute(_forward(*_int_rows(columns, nrows), ncols))
     out = []
     for col, row in pivots:
         p = row[col]
         out.append([Fraction(x, p) for x in row])
     zero = [Fraction(0)] * ncols
-    while len(out) < len(irows):
+    while len(out) < nrows:
         out.append(zero[:])
     return RrefResult(out, tuple(c for c, _ in pivots), len(pivots))
 
@@ -196,14 +248,15 @@ class Echelon:
     """One forward elimination of a matrix, read for rank, pivot columns and
     kernel.
 
-    The rows may be any iterable, a lazy one included.  The kernel is built
-    on first use only, since its back substitution costs as much again as
-    the forward pass.
+    The matrix is given by its columns, each a {row index: entry} mapping
+    over `nrows` rows; zero entries may be listed or left out, and the
+    mappings are not modified.  The kernel is built on first use only, since
+    its back substitution costs as much again as the forward pass.
     """
 
-    def __init__(self, rows: Iterable[Sequence[Number]], ncols: int):
-        self.ncols = ncols
-        self._pivots = _forward(_int_rows(rows, ncols), ncols)
+    def __init__(self, columns: Sequence[Column], nrows: int):
+        self.ncols = len(columns)
+        self._pivots = _forward(*_int_rows(columns, nrows), self.ncols)
         self.rank = len(self._pivots)
         self.pivot_columns = tuple(c for c, _ in self._pivots)
         self._kernel: Optional[list[list[Fraction]]] = None
@@ -233,12 +286,14 @@ class Echelon:
 
 
 def rank_of(rows: Iterable[Sequence[Number]], ncols: int) -> int:
-    return Echelon(rows, ncols).rank
+    """Rank of the matrix with these dense rows."""
+    return Echelon(*_columns(rows, ncols)).rank
 
 
 def kernel_basis(rows: Iterable[Sequence[Number]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0}; see `Echelon.kernel`."""
-    return Echelon(rows, ncols).kernel()
+    """Basis of {x : M x = 0} for the matrix with these dense rows; see
+    `Echelon.kernel`."""
+    return Echelon(*_columns(rows, ncols)).kernel()
 
 
 def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) -> Optional[list[Fraction]]:
@@ -257,7 +312,9 @@ def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) ->
     # outside the span iff its column is a pivot, found before any back
     # substitution
     n = len(vectors)
-    pivots = _forward(_int_rows(zip(*vectors, target), n + 1), n + 1)
+    columns = [sparse(v) for v in vectors]
+    columns.append(sparse(target))
+    pivots = _forward(*_int_rows(columns, width), n + 1)
     if pivots and pivots[-1][0] == n:
         return None
     coeffs = [Fraction(0)] * n
@@ -298,7 +355,8 @@ class SpanBuilder:
                 support = supports.get(col)
                 if support is None:
                     support = supports[col] = _support(rows[col])
-                r = _cross_eliminate(r, rows[col], col, support)
+                # no nonzero count is kept here
+                _cross_eliminate(r, rows[col], col, support, 0)
         return r
 
     def contains(self, row: Sequence[Number]) -> bool:
@@ -312,13 +370,14 @@ class SpanBuilder:
                 break
         else:
             return None
-        r = _normalize(r)
+        _normalize(r)
         support = _support(r)
         # keep existing rows reduced against the new pivot
         for c in self.pivot_cols:
             stored = self.rows[c]
             if stored[col]:
-                self.rows[c] = _normalize(_cross_eliminate(stored, r, col, support))
+                _cross_eliminate(stored, r, col, support, 0)
+                _normalize(stored)
                 self._supports.pop(c, None)
         self.rows[col] = r
         self._supports[col] = support

@@ -12,7 +12,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 from typing import Sequence
 
-from .linalg import Number
+from .linalg import Number, dense
 from .poly import Monomial, Poly, WeightedRing
 
 
@@ -44,6 +44,7 @@ class HypersurfaceRing:
         # the only exponents a reducibility test has to compare
         self._lead_exponents = tuple((i, e) for i, e in enumerate(lead) if e)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._position_cache: dict[int, dict[Monomial, int]] = {}
 
     def __repr__(self) -> str:
         return f"HypersurfaceRing({self.ambient!r} / ({self.modulus}))"
@@ -126,18 +127,25 @@ class HypersurfaceRing:
 
     def coordinates(self, nf: Poly, d: int) -> list[Number]:
         """Coordinates over degree_basis(d) of a polynomial already in normal
-        form, read without reducing it again.
+        form, read without reducing it again; the dense form of
+        `sparse_coordinates`, which raises ValueError on the same inputs."""
+        return dense(self.sparse_coordinates(nf, d), len(self.degree_basis(d)))
+
+    def sparse_coordinates(self, nf: Poly, d: int) -> dict[int, Number]:
+        """The nonzero coordinates {position in degree_basis(d): coefficient}
+        of a polynomial already in normal form.
 
         Raises ValueError unless every term of `nf` is a basis monomial of
         degree d, which rejects both a wrong degree and an unreduced input.
         """
-        coeffs = nf.coeffs
-        vec = [coeffs.get(m, 0) for m in self.degree_basis(d)]
-        # the polynomial keeps no zero terms, so each of its terms is read
-        # exactly when it lands in the basis
-        if len(vec) - vec.count(0) != len(coeffs):
-            raise ValueError(f"degree mismatch: not a normal form of degree {d}")
-        return vec
+        positions = self._position_cache.get(d)
+        if positions is None:
+            positions = {m: i for i, m in enumerate(self.degree_basis(d))}
+            self._position_cache[d] = positions
+        try:
+            return {positions[m]: c for m, c in nf.coeffs.items()}
+        except KeyError:
+            raise ValueError(f"degree mismatch: not a normal form of degree {d}") from None
 
     def from_vector(self, d: int, vec: Sequence[Number]) -> Poly:
         basis = self.degree_basis(d)

@@ -12,6 +12,7 @@ from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
 from godeaux.linalg import Echelon, SpanBuilder
 from godeaux.poly import Poly, WeightedRing, divide, evaluate, format_poly, parse_poly
+from godeaux.quotient import HypersurfaceRing
 from godeaux.residue import TauSubring
 
 DESCEND_DIMS = [1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67]
@@ -217,9 +218,12 @@ class TestFourcanonical:
     def test_elimination_work_guard(self, pipe, monkeypatch):
         # the row updates of one forward elimination of every degree-5
         # product of the quartics (211 rows, 462 columns); fill-reducing
-        # pivot rows took the count from 4529 to 3675, and it must not rise
+        # pivot rows took the count from 4529 to 3675, and it must not rise.
+        # The count must also be real: an update that bypasses
+        # `_cross_eliminate` would count 0 and pass vacuously.
         qring, cache = _quartic_products(pipe)
-        cols = [pipe.quotient.coordinates(cache.get(beta), 20) for beta in qring.monomials(5)]
+        cols = [pipe.quotient.sparse_coordinates(cache.get(beta), 20)
+                for beta in qring.monomials(5)]
         calls = 0
         update = linalg._cross_eliminate
 
@@ -229,8 +233,20 @@ class TestFourcanonical:
             return update(*args)
 
         monkeypatch.setattr(linalg, "_cross_eliminate", counted)
-        assert Echelon(zip(*cols), len(cols)).rank == 190
-        assert calls <= 3675
+        assert Echelon(cols, len(pipe.quotient.degree_basis(20))).rank == 190
+        assert 0 < calls <= 3675
+
+    def test_products_are_never_made_dense(self, monkeypatch):
+        # the quartic spans and the relation matrices read their columns
+        # sparse off the products; no dense coordinate vector is built
+        def refuse(*args):
+            raise AssertionError("a product was made dense")
+
+        monkeypatch.setattr(HypersurfaceRing, "coordinates", refuse)
+        fresh = Pipeline(load_instance(), max_degree=10)
+        report = fresh.fourcanonical(d_max=6)
+        assert report["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120, 5: 190, 6: 276}
+        assert fresh.relations().counts() == RELATION_COUNTS
 
 
 def _quartic_products(pipe):

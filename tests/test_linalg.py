@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from godeaux.linalg import (
@@ -22,6 +22,7 @@ from godeaux.linalg import (
     _cross_eliminate,
     _forward,
     _support,
+    dense,
     det_int,
     kernel_basis,
     mat_mul_int,
@@ -29,6 +30,7 @@ from godeaux.linalg import (
     rank_of,
     rref,
     smith_normal_form,
+    sparse,
 )
 
 F = Fraction
@@ -45,6 +47,11 @@ def random_matrix(rng, nrows, ncols, lo=-6, hi=6, frac_every=4):
                 row.append(rng.randint(lo, hi))
         rows.append(row)
     return rows
+
+
+def columns_of(rows, ncols):
+    """The sparse columns of a matrix given by dense rows."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
 class TestRref:
@@ -104,16 +111,20 @@ class TestRref:
 
 class TestEchelon:
     def test_lazy_rows_match_rref(self):
+        # the dense-row entry points read lazy rows; `Echelon` reads columns
         rng = random.Random(303)
         for _ in range(20):
             nrows = rng.randrange(1, 6)
             ncols = rng.randrange(1, 7)
             rows = random_matrix(rng, nrows, ncols)
-            echelon = Echelon(iter(rows), ncols)
-            res = rref(rows, ncols)
+            res = rref(iter(rows), ncols)
+            assert res == rref(rows, ncols)
+            assert rank_of(iter(rows), ncols) == res.rank
+            echelon = Echelon(columns_of(rows, ncols), nrows)
             assert (echelon.rank, echelon.pivot_columns) == (res.rank, res.pivot_columns)
             kernel = echelon.kernel()
             assert kernel is echelon.kernel()
+            assert kernel == kernel_basis(iter(rows), ncols)
             assert len(kernel) == ncols - res.rank
             for vec in kernel:
                 for row in rows:
@@ -121,13 +132,31 @@ class TestEchelon:
 
     def test_row_length_checked_while_reading(self):
         with pytest.raises(ValueError):
-            Echelon(iter([[1, 2], [3]]), 2)
+            rank_of(iter([[1, 2], [3]]), 2)
+        with pytest.raises(ValueError):
+            kernel_basis(iter([[1, 2], [3, 4, 5]]), 2)
+
+    def test_row_index_checked(self):
+        with pytest.raises(ValueError, match="row index"):
+            Echelon([{0: 1}, {2: 1}], 2)
+        with pytest.raises(ValueError, match="row index"):
+            Echelon([{-1: 1}], 2)
 
     def test_sparsest_row_breaks_a_tie(self):
         # both rows offer a pivot of magnitude 1 in column 0; the sparser one
         # is taken, so the update touches one entry instead of four
-        pivots = _forward([[1, 1, 1, 1], [-1, 0, 0, 0]], 4)
+        pivots = _forward([[1, 1, 1, 1], [-1, 0, 0, 0]], [4, 1], 4)
         assert pivots == [(0, [1, 0, 0, 0]), (1, [0, 1, 1, 1])]
+
+    def test_counts_kept_in_place(self):
+        # the forward pass updates its own rows and their nonzero counts: the
+        # second row is eliminated to zero, and the pivot rows are the rows
+        rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1]]
+        counts = [2, 2, 2]
+        pivots = _forward(rows, counts, 3)
+        assert pivots == [(0, [1, 2, 0]), (1, [0, 1, 1])]
+        assert pivots[0][1] is rows[0] and pivots[1][1] is rows[2]
+        assert rows[1] == [0, 0, 0] and counts[1] == 0
 
 
 class TestKernel:
@@ -308,6 +337,21 @@ def matrices(draw, max_rows=7, max_cols=8):
     return rows, ncols
 
 
+# column entries: explicit zeros of both types, ints and Fractions
+COLUMN_ENTRY = st.one_of(st.sampled_from([0, F(0)]), NONZERO,
+                         st.tuples(NONZERO, st.sampled_from([2, 3, 5])).map(lambda t: F(*t)))
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=7, max_cols=8):
+    """Sparse columns over a drawn row count; columns may list zero entries
+    or be empty, and rows that no column reaches are all zero."""
+    nrows = draw(st.integers(0, max_rows))
+    column = (st.dictionaries(st.integers(0, nrows - 1), COLUMN_ENTRY, max_size=nrows)
+              if nrows else st.just({}))
+    return draw(st.lists(column, max_size=max_cols)), nrows
+
+
 def reference_rref(rows, ncols):
     """Nonzero rows of the RREF and the pivot columns."""
     m = [[F(x) for x in row] for row in rows]
@@ -397,16 +441,20 @@ class TestKernelOracle:
     @ORACLE
     @given(cross_cases())
     def test_cross_eliminate_matches_dense(self, case):
+        # the update is in place: the row becomes the dense result, the
+        # pivot row is untouched, and the returned count is the row's new one
         kind, row, prow, col = case
-        before = (row[:], prow[:])
+        prow_before = prow[:]
+        expected = dense_cross_eliminate(row, prow, col)
         support = _support(prow)
         assert support == [(j, y) for j, y in enumerate(prow) if y]
-        out = _cross_eliminate(row, prow, col, support)
-        assert out == dense_cross_eliminate(row, prow, col)
-        assert out[col] == 0
-        assert (row, prow) == before
         g = gcd(prow[col], row[col])
         assert {"one": 1, "minus_one": -1}.get(kind, prow[col]) == prow[col] // g
+        count = _cross_eliminate(row, prow, col, support, len(row) - row.count(0))
+        assert row == expected
+        assert row[col] == 0
+        assert prow == prow_before
+        assert count == len(row) - row.count(0)
 
     @ORACLE
     @given(matrices())
@@ -414,7 +462,7 @@ class TestKernelOracle:
         rows, ncols = matrix
         before = deepcopy(rows)
         reduced, pivots = reference_rref(rows, ncols)
-        echelon = Echelon(rows, ncols)
+        echelon = Echelon(columns_of(rows, ncols), len(rows))
         assert echelon.rank == len(pivots)
         assert echelon.pivot_columns == pivots
         assert echelon.kernel() == reference_kernel(rows, ncols)
@@ -425,6 +473,25 @@ class TestKernelOracle:
         assert rows == before
 
     @ORACLE
+    @example(([{0: F(1, 2), 2: 0}, {}, {0: 1, 2: F(0)}, {0: 3, 1: F(-2, 3)}], 4))
+    @given(sparse_matrices())
+    def test_echelon_from_columns(self, matrix):
+        columns, nrows = matrix
+        before = deepcopy(columns)
+        ncols = len(columns)
+        rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+        reduced, pivots = reference_rref(rows, ncols)
+        echelon = Echelon(columns, nrows)
+        assert echelon.rank == len(pivots)
+        assert echelon.pivot_columns == pivots
+        assert echelon.kernel() == reference_kernel(rows, ncols)
+        assert columns == before
+        assert all(type(x) is type(y) for col, old in zip(columns, before)
+                   for x, y in zip(col.values(), old.values()))
+        for col in columns:
+            assert sparse(dense(col, nrows)) == {i: x for i, x in col.items() if x}
+
+    @ORACLE
     @given(tied_matrices(), st.randoms(use_true_random=False))
     def test_row_order_does_not_matter(self, matrix, rnd):
         # the pivot row chosen on a tie depends on the row order and on the
@@ -432,7 +499,8 @@ class TestKernelOracle:
         rows, ncols = matrix
         shuffled = rows[:]
         rnd.shuffle(shuffled)
-        first, second = Echelon(rows, ncols), Echelon(shuffled, ncols)
+        first = Echelon(columns_of(rows, ncols), len(rows))
+        second = Echelon(columns_of(shuffled, ncols), len(rows))
         assert (second.rank, second.pivot_columns) == (first.rank, first.pivot_columns)
         assert second.kernel() == first.kernel() == reference_kernel(rows, ncols)
         assert rref(shuffled, ncols) == rref(rows, ncols)
@@ -524,9 +592,9 @@ class TestGreedyChoiceOracle:
             span.insert(col)
         rank_a = span.rank
         raising = [j for j, col in enumerate(b) if span.insert(col) is not None]
-        kept = [a[j] for j in Echelon(zip(*a), len(a)).pivot_columns]
+        kept = [a[j] for j in Echelon([sparse(col) for col in a], height).pivot_columns]
         assert len(kept) == rank_a
-        joint = Echelon(zip(*kept, *b), len(kept) + len(b))
+        joint = Echelon([sparse(col) for col in kept + b], height)
         assert joint.pivot_columns[:rank_a] == tuple(range(rank_a))
         assert [j - rank_a for j in joint.pivot_columns[rank_a:]] == raising
         assert joint.rank == span.rank

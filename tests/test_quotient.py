@@ -160,6 +160,9 @@ class TestVectors:
                             if rng.randrange(3) == 0})
             nf = quotient.normal_form(p)
             assert quotient.coordinates(nf, d) == quotient.coefficient_vector(p, d)
+            basis = quotient.degree_basis(d)
+            column = quotient.sparse_coordinates(nf, d)
+            assert {basis[i]: c for i, c in column.items()} == nf.coeffs
 
     def test_coordinates_reject_reducible_monomial(self, quotient, ring):
         # z^2 has degree 6 but is not a basis monomial: the input is unreduced
@@ -173,6 +176,17 @@ class TestVectors:
             quotient.coefficient_vector(parse_poly("x1*y", ring), 4)
         # the zero polynomial lies in every degree
         assert quotient.coordinates(Poly(ring, {}), 2) == [0] * len(quotient.degree_basis(2))
+
+    def test_sparse_coordinates_reject_reducible_monomial(self, quotient, ring):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.sparse_coordinates(parse_poly("z^2 + x1^6", ring), 6)
+
+    def test_sparse_coordinates_reject_wrong_degree(self, quotient, ring):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.sparse_coordinates(parse_poly("x1*y", ring), 4)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.sparse_coordinates(parse_poly("x1*y + x1^4", ring), 4)
+        assert quotient.sparse_coordinates(Poly(ring, {}), 2) == {}
 
     def test_multiply_reduces(self, quotient, ring):
         z = ring.variable("z")
