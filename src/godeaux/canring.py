@@ -16,7 +16,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
-from .linalg import Column, Echelon, Number, dense, membership, rank_of, sparse
+from .linalg import Column, Echelon, sparse
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
@@ -81,18 +81,20 @@ class RelationSet:
 class Pipeline:
     """All graded computations for one instance, with shared caches.
 
-    Each descent space is read off one kernel (`descend_space`).  Monomial
-    products of an element list are built once each by a `_ProductCache`:
-    the residues of the ambient variables for the descent, and generator
-    lists in S/f for everything else, each product in normal form.  Every
-    product matrix is built and eliminated once by `_image`, its columns
-    read sparse off the products' terms, and its `Echelon` gives the rank,
-    the pivot columns (new generators) and the kernel (relations, the
-    tricanonical form).  A spanning check adds one `rank_of` of the descend
-    vectors with the pivot products, and a base-locus certificate one
-    `membership` of a pure power in them; those pivot columns alone are made
-    dense.  The reference generators, their presentation ring and their
-    product cache are built with the pipeline.
+    Every vector is a sparse {position: entry} mapping, and every matrix is
+    eliminated by one `Echelon` and read off it.  Each descent space is
+    read off one kernel (`descend_space`).  Monomial products of an element
+    list are built once each by a `_ProductCache`: the residues of the
+    ambient variables for the descent, and generator lists in S/f for
+    everything else, each product in normal form.  Every product matrix is
+    built and eliminated once by `_image`, its columns read off the
+    products' terms, and its `Echelon` gives the rank, the pivot columns
+    (new generators) and the kernel (relations, the tricanonical form).  A
+    membership or spanning check is the rank of the descend vectors with
+    the target or the pivot products, and a base-locus certificate is the
+    one kernel vector of the pivot products with a pure power.  The
+    reference generators, their presentation ring and their product cache
+    are built with the pipeline.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -100,7 +102,7 @@ class Pipeline:
         self.max_degree = max_degree
         self.quotient = instance.quotient
         self.ring = instance.ring
-        self._descend: dict[int, list[list[Fraction]]] = {}
+        self._descend: dict[int, list[Column]] = {}
         self._descend_polys: dict[int, list[Poly]] = {}
         self._residues = _ProductCache(instance.residue.images, instance.curve.one())
         self._computed: Optional[GeneratorSet] = None
@@ -111,29 +113,26 @@ class Pipeline:
         self._reference_products = self._products(self.reference_generators.polynomials())
         self._reference_images: dict[int, tuple[list[Column], Echelon]] = {}
         self._relations: Optional[RelationSet] = None
-        self._quartics: Optional[_ProductCache] = None
-        self._quartic_monos: list[Monomial] = []
-        self._quartic_ranks: dict[int, int] = {}
 
     def _products(self, elements: list[Poly]) -> _ProductCache:
         """Products of `elements` in S/f, each in normal form."""
         return _ProductCache(elements, self.ring.one(), self.quotient.multiply)
 
     def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
-               extra: Sequence[Sequence[Number]] = ()) -> tuple[list[Column], Echelon]:
-        """The products `monos` of `cache.elements` as sparse coordinate
-        columns in degree `degree`, and the elimination of the matrix with
-        those columns followed by the dense `extra` ones."""
+               extra: Sequence[Column] = ()) -> tuple[list[Column], Echelon]:
+        """The products `monos` of `cache.elements` as coordinate columns in
+        degree `degree`, and the elimination of the matrix with those
+        columns followed by the `extra` ones."""
         read = self.quotient.sparse_coordinates
         cols = [read(cache.get(beta), degree) for beta in monos]
-        return cols, Echelon(cols + [sparse(v) for v in extra],
-                             len(self.quotient.degree_basis(degree)))
+        return cols, Echelon(cols + list(extra), len(self.quotient.degree_basis(degree)))
 
     # -- the descent condition ------------------------------------------
 
-    def descend_space(self, m: int) -> list[list[Fraction]]:
+    def descend_space(self, m: int) -> list[Column]:
         """Reduced row echelon basis of the degree-m piece (the x whose
-        residue lies in the tau subring), over the monomial basis of S/f.
+        residue lies in the tau subring), over the monomial basis of S/f,
+        each row a {basis position: entry} mapping, positions ascending.
 
         The kernel columns are the tau basis vectors, then the residues of
         the basis monomials in reverse order.  A free tau column's kernel
@@ -149,12 +148,16 @@ class Pipeline:
         taus = self.instance.tau.basis_vectors(m)
         cols = taus + [self._residues.get(mono).coordinate_vector(m)
                        for mono in reversed(self.quotient.degree_basis(m))]
+        # kernel column j >= k is basis position top - j
         k = len(taus)
+        top = len(cols) - 1
         # the m + 1 tau vectors are never empty, so the first gives the height
         kernel = Echelon([sparse(c) for c in cols], len(cols[0])).kernel()
-        vecs = [v[k:][::-1] for v in reversed(kernel) if any(v[k:])]
-        self._descend[m] = vecs
-        return vecs
+        rows = [{top - j: x for j, x in reversed(v.items()) if j >= k}
+                for v in reversed(kernel)]
+        rows = [row for row in rows if row]
+        self._descend[m] = rows
+        return rows
 
     def descend_dimension(self, m: int) -> int:
         return len(self.descend_space(m))
@@ -162,8 +165,9 @@ class Pipeline:
     def descend_polys(self, m: int) -> list[Poly]:
         cached = self._descend_polys.get(m)
         if cached is None:
-            cached = [self.quotient.from_vector(m, v).content_normalized()
-                      for v in self.descend_space(m)]
+            basis = self.quotient.degree_basis(m)
+            cached = [Poly(self.ring, {basis[i]: x for i, x in row.items()}).content_normalized()
+                      for row in self.descend_space(m)]
             self._descend_polys[m] = cached
         return cached
 
@@ -216,26 +220,29 @@ class Pipeline:
     def verify_reference(self) -> dict:
         """Membership of each listed generator plus graded spanning checks."""
         self.precompute_descend()
-        gens = self.reference_generators
+        quotient = self.quotient
+
+        def within(d: int, extra: list[Column]) -> bool:
+            # the descend vectors are independent, so `extra` lies in their
+            # span iff adding it raises no rank
+            descend = self.descend_space(d)
+            return Echelon(descend + extra, len(quotient.degree_basis(d))).rank == len(descend)
+
         members = []
-        for idx, (poly, d) in enumerate(gens.generators):
-            vec = self.quotient.coefficient_vector(poly, d)
-            ok = membership(vec, self.descend_space(d)) is not None
-            members.append({"index": idx, "degree": d,
-                            "polynomial": format_poly(poly), "member": ok})
+        for idx, (poly, d) in enumerate(self.reference_generators.generators):
+            target = quotient.sparse_coordinates(quotient.normal_form(poly), d)
+            members.append({"index": idx, "degree": d, "polynomial": format_poly(poly),
+                            "member": within(d, [target])})
         spans = []
         for m in range(2, self.max_degree + 1):
             descend = self.descend_space(m)
             cols, image = self._reference_image(m)
-            # the pivot columns span every product, and the descend vectors
-            # are independent, so the products lie in the descend space iff
-            # adding the pivot columns to it raises no rank
-            width = len(self.quotient.degree_basis(m))
-            pivots = [dense(cols[j], width) for j in image.pivot_columns]
+            # the pivot columns span every product
+            pivots = [cols[j] for j in image.pivot_columns]
             spans.append({"degree": m, "product_rank": image.rank,
                           "dimension": len(descend),
                           "spans": image.rank == len(descend)
-                          and rank_of(descend + pivots, width) == len(descend)})
+                          and within(m, pivots)})
         ok = all(e["member"] for e in members) and all(e["spans"] for e in spans)
         return {"members": members, "spans": spans, "ok": ok}
 
@@ -270,10 +277,10 @@ class Pipeline:
             rank = ideal.rank
             if rank < image.ncols - image.rank:
                 kernel = image.kernel()
-                joint = Echelon([multiples[j] for j in ideal.pivot_columns]
-                                + [sparse(k) for k in kernel], len(monos))
+                joint = Echelon([multiples[j] for j in ideal.pivot_columns] + kernel,
+                                len(monos))
                 for j in joint.pivot_columns[rank:]:
-                    poly = Poly(tring, {mono: c for mono, c in zip(monos, kernel[j - rank])})
+                    poly = Poly(tring, {monos[i]: c for i, c in kernel[j - rank].items()})
                     rels.append((poly.content_normalized(), m))
                 rank = joint.rank
             ideal_ranks[m] = rank
@@ -360,8 +367,7 @@ class Pipeline:
         if dims[9] != 1:
             report["status"] = "FAIL"
             return report
-        vec = nine.kernel()[0]
-        form = Poly(zring, {mono: c for mono, c in zip(monos, vec)})
+        form = Poly(zring, {monos[i]: c for i, c in nine.kernel()[0].items()})
         lead = form.leading_coefficient()
         form = form.scale(Fraction(1) / Fraction(lead))
         report["computed_form"] = format_poly(form)
@@ -406,28 +412,20 @@ class Pipeline:
         basis of V_{d-1}, so degree d eliminates only the products beta + e_i
         for beta a pivot monomial of degree d-1, not every monomial of
         degree d in the quartics.
-
-        The ranks h(d), the product cache and the next degree's monomials
-        are kept, so a later call computes only new degrees.
         """
         if d_max < 4:
             raise ValueError("d_max must be at least 4")
-        if self._quartics is None:
-            self._quartics = self._products(self.descend_polys(4))
-        cache = self._quartics
+        cache = self._products(self.descend_polys(4))
         n = len(cache.elements)
         qring = WeightedRing([f"q{i}" for i in range(n)], [1] * n)
-        if not self._quartic_ranks:
-            self._quartic_monos = list(qring.monomials(1))
-        for d in range(len(self._quartic_ranks) + 1, d_max + 1):
-            monos = self._quartic_monos
+        monos = list(qring.monomials(1))
+        h = {0: 1}
+        for d in range(1, d_max + 1):
             image = self._image(cache, monos, 4 * d)[1]
-            self._quartic_ranks[d] = image.rank
+            h[d] = image.rank
             grown = {tuple(e + 1 if j == i else e for j, e in enumerate(monos[k]))
                      for k in image.pivot_columns for i in range(n)}
-            self._quartic_monos = sorted(grown, key=qring.sort_key)
-        h = {0: 1}
-        h.update((d, self._quartic_ranks[d]) for d in range(1, d_max + 1))
+            monos = sorted(grown, key=qring.sort_key)
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
         return {"h": h, "second_differences": second, "quartic_count": n}
 
@@ -488,6 +486,7 @@ class Pipeline:
         """
         weights = self.ring.weights
         n = self.ring.n
+        quotient = self.quotient
         # products of a basis monomial and a generator, as monomials in the
         # ambient variables followed by the generators
         cache = self._products([self.ring.variable(i) for i in range(n)] + gens)
@@ -500,26 +499,30 @@ class Pipeline:
             if not checkable:
                 continue
             products = [(bmono, gi) for gi in range(len(gens))
-                        for bmono in self.quotient.degree_basis(d - m)]
+                        for bmono in quotient.degree_basis(d - m)]
             monos = [bmono + tuple(int(j == gi) for j in range(len(gens)))
                      for bmono, gi in products]
             cols, image = self._image(cache, monos, d)
-            # the pivot columns span every product, and a solution on them
-            # is the canonical one over all products (free coefficients zero)
+            # the pivot columns are independent and span every product, so
+            # [pivot columns | target] has a kernel vector iff the target lies
+            # in the span, and then one, whose entries at the pivot columns
+            # are minus the canonical combination (free coefficients zero)
             pivots = image.pivot_columns
+            width = len(quotient.degree_basis(d))
             for i in checkable:
                 k = d // weights[i]
                 mono = tuple(k if j == i else 0 for j in range(n))
-                target = self.quotient.coefficient_vector(Poly(self.ring, {mono: 1}), d)
-                coeffs = membership(target, [dense(cols[j], len(target)) for j in pivots])
-                if coeffs is None:
+                target = quotient.sparse_coordinates(
+                    quotient.normal_form(Poly(self.ring, {mono: 1})), d)
+                solve = Echelon([cols[j] for j in pivots] + [target], width)
+                if solve.rank > len(pivots):
                     continue
                 combination = []
-                for c, j in zip(coeffs, pivots):
-                    if c:
-                        bmono, gi = products[j]
+                for p, c in solve.kernel()[0].items():
+                    if p < len(pivots):
+                        bmono, gi = products[pivots[p]]
                         combination.append({
-                            "coefficient": rational_text(c),
+                            "coefficient": rational_text(-c),
                             "monomial": format_poly(Poly(self.ring, {bmono: 1})),
                             "generator": gi,
                         })

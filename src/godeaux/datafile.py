@@ -79,7 +79,13 @@ def load(name: str, path: Optional[str], build: Callable[[dict], T]) -> T:
     source = name if path is None else path
     try:
         file = resources.files("godeaux.data").joinpath(name) if path is None else Path(path)
-        return build(typed(json.loads(file.read_text(encoding="utf-8")), dict, "the top level"))
+        text = file.read_text(encoding="utf-8")
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            # only the decoder's; one a builder raises is a program fault
+            raise InputError(f"{source}: nested too deeply to decode") from None
+        return build(typed(raw, dict, "the top level"))
     except KeyError as exc:
         raise InputError(f"{source}: missing field {exc}") from exc
     except (OSError, TypeError, ValueError) as exc:

@@ -10,8 +10,11 @@ Fraction is scaled to integers (common denominator).  The elimination owns
 those rows and updates them in place with cross-multiplication; after every
 update the row is divided by its content (gcd of the entries, computed with
 an early exit, and read from the updated entries alone when their gcd is 1)
-so entries stay small in practice.  The dense-row entry points (`rank_of`,
-`kernel_basis`, `rref`, `membership`) read their matrix into such columns.
+so entries stay small in practice.  A kernel comes out in the same sparse
+format, one {column: entry} mapping per basis vector, so the program never
+makes a vector dense.  The dense entry points (`rank_of`, `kernel_basis`,
+`rref`, `membership`) read their matrix into such columns and are the
+tests' API; the program calls none of them.
 
 Pivot rows are mostly zeros, so an update scales the row being reduced and
 then subtracts only at the pivot row's nonzero entries (its support, listed
@@ -259,14 +262,15 @@ class Echelon:
         self._pivots = _forward(*_int_rows(columns, nrows), self.ncols)
         self.rank = len(self._pivots)
         self.pivot_columns = tuple(c for c, _ in self._pivots)
-        self._kernel: Optional[list[list[Fraction]]] = None
+        self._kernel: Optional[list[dict[int, Fraction]]] = None
 
-    def kernel(self) -> list[list[Fraction]]:
+    def kernel(self) -> list[dict[int, Fraction]]:
         """Basis of {x : M x = 0}, one vector per free column, columns ascending.
 
-        The vector for free column j has a 1 in position j and is supported
-        on j and the pivot columns; this is the standard basis read off the
-        RREF.
+        This is the standard basis read off the RREF.  The vector for free
+        column j is a {column: entry} mapping of its nonzero entries, keys
+        ascending: the pivot columns before j whose RREF row is nonzero at
+        j, then a 1 at j.
         """
         if self._kernel is None:
             pivots = _back_substitute(self._pivots)
@@ -275,11 +279,10 @@ class Echelon:
             for j in range(self.ncols):
                 if j in pivot_cols:
                     continue
-                vec = [Fraction(0)] * self.ncols
+                # a pivot row is zero before its pivot column, so only the
+                # pivots before j can be nonzero at j
+                vec = {c: Fraction(-row[j], row[c]) for c, row in pivots if row[j]}
                 vec[j] = Fraction(1)
-                for c, row in pivots:
-                    if row[j]:
-                        vec[c] = Fraction(-row[j], row[c])
                 basis.append(vec)
             self._kernel = basis
         return self._kernel
@@ -290,10 +293,10 @@ def rank_of(rows: Iterable[Sequence[Number]], ncols: int) -> int:
     return Echelon(*_columns(rows, ncols)).rank
 
 
-def kernel_basis(rows: Iterable[Sequence[Number]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} for the matrix with these dense rows; see
-    `Echelon.kernel`."""
-    return Echelon(*_columns(rows, ncols)).kernel()
+def kernel_basis(rows: Iterable[Sequence[Number]], ncols: int) -> list[list[Number]]:
+    """Basis of {x : M x = 0} for the matrix with these dense rows, each
+    vector dense; see `Echelon.kernel`."""
+    return [dense(v, ncols) for v in Echelon(*_columns(rows, ncols)).kernel()]
 
 
 def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) -> Optional[list[Fraction]]:
@@ -306,21 +309,15 @@ def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) ->
     for v in vectors:
         if len(v) != width:
             raise ValueError("vector length does not match target")
-    if not vectors:
-        return [] if not any(target) else None
-    # solve A c = t where the columns of A are the vectors; the target is
-    # outside the span iff its column is a pivot, found before any back
-    # substitution
+    # solve A c = t where the columns of A are the vectors: the target is
+    # outside the span iff its column is a pivot, and otherwise the last
+    # kernel vector, read at the vector columns, is -c
     n = len(vectors)
-    columns = [sparse(v) for v in vectors]
-    columns.append(sparse(target))
-    pivots = _forward(*_int_rows(columns, width), n + 1)
-    if pivots and pivots[-1][0] == n:
+    echelon = Echelon([sparse(v) for v in vectors] + [sparse(target)], width)
+    if n in echelon.pivot_columns:
         return None
-    coeffs = [Fraction(0)] * n
-    for col, row in _back_substitute(pivots):
-        coeffs[col] = Fraction(row[n], row[col])
-    return coeffs
+    last = echelon.kernel()[-1]
+    return [-last.get(j, Fraction(0)) for j in range(n)]
 
 
 class SpanBuilder:

@@ -241,12 +241,6 @@ class Poly:
             ints = {m: -v for m, v in ints.items()}
         return Poly(self.ring, ints)
 
-    def coefficient_vector(self, d: int) -> list[Number]:
-        """Coefficients over ring.monomials(d); input must be homogeneous of degree d."""
-        if self.coeffs and self.homogeneous_degree() != d:
-            raise ValueError("degree mismatch")
-        return [self.coeffs.get(m, 0) for m in self.ring.monomials(d)]
-
     def __str__(self) -> str:
         return format_poly(self)
 

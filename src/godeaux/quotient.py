@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
-from typing import Sequence
 
 from .linalg import Number, dense
 from .poly import Monomial, Poly, WeightedRing
@@ -121,15 +120,10 @@ class HypersurfaceRing:
         return cached
 
     def coefficient_vector(self, p: Poly, d: int) -> list[Number]:
-        """Coordinates of normal_form(p) over degree_basis(d), for any p of
-        degree d; see `coordinates`."""
-        return self.coordinates(self.normal_form(p), d)
-
-    def coordinates(self, nf: Poly, d: int) -> list[Number]:
-        """Coordinates over degree_basis(d) of a polynomial already in normal
-        form, read without reducing it again; the dense form of
-        `sparse_coordinates`, which raises ValueError on the same inputs."""
-        return dense(self.sparse_coordinates(nf, d), len(self.degree_basis(d)))
+        """The dense coordinates of normal_form(p) over degree_basis(d), for
+        any p of degree d; see `sparse_coordinates`.  The program reads
+        sparse coordinates; this is the tests' dense reading."""
+        return dense(self.sparse_coordinates(self.normal_form(p), d), len(self.degree_basis(d)))
 
     def sparse_coordinates(self, nf: Poly, d: int) -> dict[int, Number]:
         """The nonzero coordinates {position in degree_basis(d): coefficient}
@@ -146,9 +140,3 @@ class HypersurfaceRing:
             return {positions[m]: c for m, c in nf.coeffs.items()}
         except KeyError:
             raise ValueError(f"degree mismatch: not a normal form of degree {d}") from None
-
-    def from_vector(self, d: int, vec: Sequence[Number]) -> Poly:
-        basis = self.degree_basis(d)
-        if len(vec) != len(basis):
-            raise ValueError("vector length does not match degree basis")
-        return Poly(self.ambient, {m: c for m, c in zip(basis, vec)})

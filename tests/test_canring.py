@@ -2,15 +2,18 @@
 dimension cross-checks, the degree-9 form, quartic products, and base
 locus certificates."""
 
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from godeaux import linalg
+from godeaux import canring, cli, linalg, quotient
 from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
-from godeaux.linalg import Echelon, SpanBuilder
+from godeaux.linalg import Echelon, SpanBuilder, dense
 from godeaux.poly import Poly, WeightedRing, divide, evaluate, format_poly, parse_poly
 from godeaux.quotient import HypersurfaceRing
 from godeaux.residue import TauSubring
@@ -18,11 +21,23 @@ from godeaux.residue import TauSubring
 DESCEND_DIMS = [1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67]
 GENERATOR_DEGREES = [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5]
 RELATION_COUNTS = {6: 6, 7: 12, 8: 18, 9: 12, 10: 6}
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
 def pipe():
     return Pipeline(load_instance(), max_degree=12)
+
+
+def dense_descend(pipe, m):
+    """The descend rows of degree m as dense vectors, after checking that
+    each is a sparse mapping of nonzero Fractions with ascending positions."""
+    width = len(pipe.quotient.degree_basis(m))
+    rows = pipe.descend_space(m)
+    for row in rows:
+        assert list(row) == sorted(row)
+        assert all(type(x) is Fraction and x for x in row.values())
+    return [dense(row, width) for row in rows]
 
 
 def projected_descend(instance, m):
@@ -55,7 +70,7 @@ class TestDescend:
         instance = load_instance()
         fresh = Pipeline(instance, max_degree=16)
         for m in range(17):
-            assert fresh.descend_space(m) == projected_descend(instance, m), m
+            assert dense_descend(fresh, m) == projected_descend(instance, m), m
 
     def test_dependent_tau_columns_dropped(self):
         # with both generators u the tau basis vectors of degree m are m + 1
@@ -66,7 +81,7 @@ class TestDescend:
         fresh = Pipeline(instance)
         assert linalg.rank_of(zip(*instance.tau.basis_vectors(3)), 4) == 1
         for m in range(7):
-            assert fresh.descend_space(m) == projected_descend(instance, m), m
+            assert dense_descend(fresh, m) == projected_descend(instance, m), m
         assert any(fresh.descend_space(m) for m in range(2, 7))
 
     def test_polys_satisfy_descent(self, pipe):
@@ -126,7 +141,7 @@ class TestRelations:
                 for gamma in tring.monomials(m - rdeg):
                     shifted = Poly(tring, {gamma: 1}) * rpoly
                     span.insert([shifted.coeffs.get(mono, 0) for mono in monos])
-            for kvec in kernels[m]:
+            for kvec in (dense(k, len(monos)) for k in kernels[m]):
                 if span.insert(kvec) is not None:
                     poly = Poly(tring, dict(zip(monos, kvec)))
                     rels.append((poly.content_normalized(), m))
@@ -182,33 +197,26 @@ class TestTricanonical:
         assert report["status"] == "FAIL"
 
 
+@pytest.fixture(scope="module")
+def four(pipe):
+    """`pipe.fourcanonical()`, computed once for the tests that read it."""
+    return pipe.fourcanonical()
+
+
 class TestFourcanonical:
-    def test_hilbert_function(self, pipe):
-        report = pipe.fourcanonical()
-        assert report["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120, 5: 190}
+    def test_hilbert_function(self, four):
+        assert four["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120, 5: 190}
 
-    def test_second_differences(self, pipe):
-        report = pipe.fourcanonical()
-        assert report["second_differences"] == {3: 20, 4: 16, 5: 15}
+    def test_second_differences(self, four):
+        assert four["second_differences"] == {3: 20, 4: 16, 5: 15}
 
-    def test_seven_quartics(self, pipe):
-        assert pipe.fourcanonical()["quartic_count"] == 7
+    def test_seven_quartics(self, four):
+        assert four["quartic_count"] == 7
 
-    def test_ranks_are_kept(self, pipe, monkeypatch):
-        pipe.fourcanonical()
-
-        def no_products(*args):
-            raise AssertionError("a kept rank was computed again")
-
-        monkeypatch.setattr(pipe, "_image", no_products)
-        report = pipe.fourcanonical(d_max=4)
-        assert report["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120}
-        assert report["second_differences"] == {3: 20, 4: 16}
-
-    def test_spans_match_all_monomials(self, pipe):
+    def test_spans_match_all_monomials(self, pipe, four):
         # degree d eliminates only the products grown from the pivots of
         # degree d - 1; the rank of every monomial product is the reference
-        assert pipe.fourcanonical()["h"] == {0: 1, **_all_monomial_ranks(pipe, 5)}
+        assert four["h"] == {0: 1, **_all_monomial_ranks(pipe, 5)}
 
     def test_larger_d_max_continues(self):
         grown = Pipeline(load_instance())
@@ -237,12 +245,22 @@ class TestFourcanonical:
         assert 0 < calls <= 3675
 
     def test_products_are_never_made_dense(self, monkeypatch):
-        # the quartic spans and the relation matrices read their columns
-        # sparse off the products; no dense coordinate vector is built
-        def refuse(*args):
-            raise AssertionError("a product was made dense")
+        # every vector of the pipeline is a sparse mapping eliminated by
+        # `Echelon`: no dense reader or dense entry point is reached from
+        # the membership and spanning checks, the base-locus certificates,
+        # the quartic spans or the relations
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense path was taken")
 
-        monkeypatch.setattr(HypersurfaceRing, "coordinates", refuse)
+        for module in (linalg, canring, quotient):
+            for name in ("dense", "rank_of", "membership"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(HypersurfaceRing, "coefficient_vector", refuse)
+        for target in ("paper-generators", "base-locus"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(["verify", target, "--format", "structured"]) == 0
+            assert out.getvalue().encode() == (GOLDEN / f"verify-{target}.json").read_bytes()
         fresh = Pipeline(load_instance(), max_degree=10)
         report = fresh.fourcanonical(d_max=6)
         assert report["h"] == {0: 1, 1: 7, 2: 26, 3: 65, 4: 120, 5: 190, 6: 276}

@@ -52,6 +52,7 @@ class TestCanring:
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["relation-profile"] == "SKIPPED"
         assert statuses["generator-profile"] == "OK"
+        assert out.encode() == (GOLDEN / "canring-max-degree-5.json").read_bytes()
 
     def test_horizon_below_generators_skips(self, capsys):
         # the degree-5 generators lie above horizon 4, so neither the
@@ -336,6 +337,17 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith(f"error: {path}: modulus: nesting deeper than ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["canring", "topology"])
+    def test_deeply_nested_file_refused(self, capsys, tmp_path, command):
+        # the JSON decoder once exhausted Python's recursion limit here, and
+        # the traceback exited 1, the status of a verification mismatch
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: nested too deeply to decode\n"
 
     @pytest.mark.parametrize("field, value, message", [
         (("mayer_vietoris", "curve", 0), [1, [1]],

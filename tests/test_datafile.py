@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godeaux.datafile import InputError
+from godeaux.datafile import InputError, load
 from godeaux.defcalc import load_defcalc_data
 from godeaux.instance import load_instance
 from godeaux.topology import load_topology_data
@@ -126,3 +126,16 @@ def test_boolean_for_integer_is_refused(tmp_path, name, flag):
         else:
             wrong.append(f"{dotted} loaded")
     assert wrong == []
+
+
+def test_builder_recursion_error_is_a_fault(tmp_path):
+    # only the decoder's RecursionError is refused input; one a builder
+    # raises is a program fault and keeps its traceback
+    file = tmp_path / "flat.json"
+    file.write_text("{}")
+
+    def build(raw):
+        raise RecursionError("planted")
+
+    with pytest.raises(RecursionError, match="planted"):
+        load("godeaux.json", str(file), build)

@@ -61,3 +61,19 @@ def test_divisions_are_of_fractions(path):
             continue
         assert any(map(_is_fraction, operands)), \
             f"{path.name}:{node.lineno} divides without a Fraction operand"
+
+
+def test_canring_reads_no_dense_linear_algebra():
+    # every vector of the pipeline is a sparse mapping eliminated by one
+    # `Echelon`; the dense entry points are the tests' API only
+    dense_names = {"dense", "rank_of", "kernel_basis", "rref", "membership", "SpanBuilder"}
+    path = next(p for p in SOURCES if p.name == "canring.py")
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            used = {alias.name for alias in node.names} & dense_names
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "linalg":
+            used = {node.attr} & dense_names
+        else:
+            continue
+        assert not used, f"canring.py:{node.lineno} reads {used} from linalg"

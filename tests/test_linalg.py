@@ -54,6 +54,11 @@ def columns_of(rows, ncols):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
+def dense_kernel(echelon):
+    """The kernel vectors of an `Echelon` as dense vectors."""
+    return [dense(v, echelon.ncols) for v in echelon.kernel()]
+
+
 class TestRref:
     def test_worked_example(self):
         res = rref([[2, 4], [1, 2]], 2)
@@ -122,8 +127,8 @@ class TestEchelon:
             assert rank_of(iter(rows), ncols) == res.rank
             echelon = Echelon(columns_of(rows, ncols), nrows)
             assert (echelon.rank, echelon.pivot_columns) == (res.rank, res.pivot_columns)
-            kernel = echelon.kernel()
-            assert kernel is echelon.kernel()
+            assert echelon.kernel() is echelon.kernel()
+            kernel = dense_kernel(echelon)
             assert kernel == kernel_basis(iter(rows), ncols)
             assert len(kernel) == ncols - res.rank
             for vec in kernel:
@@ -465,7 +470,7 @@ class TestKernelOracle:
         echelon = Echelon(columns_of(rows, ncols), len(rows))
         assert echelon.rank == len(pivots)
         assert echelon.pivot_columns == pivots
-        assert echelon.kernel() == reference_kernel(rows, ncols)
+        assert dense_kernel(echelon) == reference_kernel(rows, ncols)
         res = rref(rows, ncols)
         zero = [F(0)] * ncols
         assert res.rows == reduced + [zero] * (len(rows) - len(reduced))
@@ -484,7 +489,17 @@ class TestKernelOracle:
         echelon = Echelon(columns, nrows)
         assert echelon.rank == len(pivots)
         assert echelon.pivot_columns == pivots
-        assert echelon.kernel() == reference_kernel(rows, ncols)
+        assert dense_kernel(echelon) == reference_kernel(rows, ncols)
+        # the sparse kernel contract: one vector per free column j, its keys
+        # ascending, pivot columns before j and then j, where the entry is 1;
+        # every listed entry is a nonzero Fraction
+        free = [j for j in range(ncols) if j not in pivots]
+        for j, vec in zip(free, echelon.kernel(), strict=True):
+            keys = list(vec)
+            assert keys == sorted(keys) and keys[-1] == j
+            assert set(keys[:-1]) <= {c for c in pivots if c < j}
+            assert vec[j] == 1
+            assert all(type(x) is F and x for x in vec.values())
         assert columns == before
         assert all(type(x) is type(y) for col, old in zip(columns, before)
                    for x, y in zip(col.values(), old.values()))
@@ -502,7 +517,8 @@ class TestKernelOracle:
         first = Echelon(columns_of(rows, ncols), len(rows))
         second = Echelon(columns_of(shuffled, ncols), len(rows))
         assert (second.rank, second.pivot_columns) == (first.rank, first.pivot_columns)
-        assert second.kernel() == first.kernel() == reference_kernel(rows, ncols)
+        assert second.kernel() == first.kernel()
+        assert dense_kernel(first) == reference_kernel(rows, ncols)
         assert rref(shuffled, ncols) == rref(rows, ncols)
 
     @ORACLE

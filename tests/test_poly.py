@@ -146,18 +146,6 @@ class TestArithmetic:
         assert q.leading_coefficient() == 3
         assert format_poly(q) == "3*y-2*x1^2"
 
-    def test_coefficient_vector_round_trip(self, ring):
-        rng = random.Random(21)
-        for d in range(7):
-            basis = ring.monomials(d)
-            vec = [rng.randint(-5, 5) for _ in basis]
-            p = Poly(ring, dict(zip(basis, vec)))
-            assert p.coefficient_vector(d) == vec
-
-    def test_coefficient_vector_degree_mismatch(self, ring):
-        with pytest.raises(ValueError):
-            ring.variable("y").coefficient_vector(3)
-
 
 class TestDivide:
     def test_remainder_not_divisible(self, ring):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from godeaux.linalg import dense
 from godeaux.poly import Poly, WeightedRing, divide, parse_poly
 from godeaux.quotient import HypersurfaceRing
 
@@ -142,13 +143,13 @@ class TestVectors:
         for d in range(8):
             basis = quotient.degree_basis(d)
             vec = [rng.randint(-5, 5) for _ in basis]
-            p = quotient.from_vector(d, vec)
+            p = Poly(quotient.ambient, dict(zip(basis, vec)))
             assert quotient.coefficient_vector(p, d) == vec
 
     def test_vector_reduces_first(self, quotient, ring):
         # z^2 is not a basis monomial; its vector is that of its normal form
         vec = quotient.coefficient_vector(parse_poly("z^2", ring), 6)
-        p = quotient.from_vector(6, vec)
+        p = Poly(ring, dict(zip(quotient.degree_basis(6), vec)))
         assert p == quotient.normal_form(parse_poly("z^2", ring))
 
     def test_coordinates_agree_on_normal_forms(self, quotient, ring):
@@ -159,25 +160,29 @@ class TestVectors:
             p = Poly(ring, {m: rng.randint(-3, 3) for m in monos[d]
                             if rng.randrange(3) == 0})
             nf = quotient.normal_form(p)
-            assert quotient.coordinates(nf, d) == quotient.coefficient_vector(p, d)
             basis = quotient.degree_basis(d)
+            assert quotient.coefficient_vector(p, d) == [nf.coeffs.get(m, 0) for m in basis]
             column = quotient.sparse_coordinates(nf, d)
             assert {basis[i]: c for i, c in column.items()} == nf.coeffs
 
     def test_coordinates_reject_reducible_monomial(self, quotient, ring):
-        # z^2 has degree 6 but is not a basis monomial: the input is unreduced
+        # z^2 has degree 6 but is not a basis monomial: read unreduced, the
+        # input is refused; coefficient_vector reduces it first and reads
+        # the coordinates of its normal form
+        p = parse_poly("z^2 + x1^6", ring)
         with pytest.raises(ValueError, match="degree mismatch"):
-            quotient.coordinates(parse_poly("z^2 + x1^6", ring), 6)
+            quotient.sparse_coordinates(p, 6)
+        column = quotient.sparse_coordinates(quotient.normal_form(p), 6)
+        assert quotient.coefficient_vector(p, 6) == dense(column, len(quotient.degree_basis(6)))
 
     def test_coordinates_reject_wrong_degree(self, quotient, ring):
         with pytest.raises(ValueError, match="degree mismatch"):
-            quotient.coordinates(parse_poly("x1*y", ring), 4)
-        with pytest.raises(ValueError, match="degree mismatch"):
             quotient.coefficient_vector(parse_poly("x1*y", ring), 4)
         # the zero polynomial lies in every degree
-        assert quotient.coordinates(Poly(ring, {}), 2) == [0] * len(quotient.degree_basis(2))
+        assert quotient.coefficient_vector(Poly(ring, {}), 2) == [0] * len(quotient.degree_basis(2))
 
     def test_sparse_coordinates_reject_reducible_monomial(self, quotient, ring):
+        # z^2 has degree 6 but is not a basis monomial: the input is unreduced
         with pytest.raises(ValueError, match="degree mismatch"):
             quotient.sparse_coordinates(parse_poly("z^2 + x1^6", ring), 6)
 
