@@ -421,10 +421,11 @@ class Pipeline:
         monos = list(qring.monomials(1))
         h = {0: 1}
         for d in range(1, d_max + 1):
-            image = self._image(cache, monos, 4 * d)[1]
-            h[d] = image.rank
+            # keep only the pivot columns, so this degree's rows are freed
+            pivots = self._image(cache, monos, 4 * d)[1].pivot_columns
+            h[d] = len(pivots)
             grown = {tuple(e + 1 if j == i else e for j, e in enumerate(monos[k]))
-                     for k in image.pivot_columns for i in range(n)}
+                     for k in pivots for i in range(n)}
             monos = sorted(grown, key=qring.sort_key)
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
         return {"h": h, "second_differences": second, "quartic_count": n}

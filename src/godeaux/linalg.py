@@ -3,11 +3,15 @@
 Everything here is exact: entries are Python ints or fractions.Fraction, never
 floats, and there are no tolerances.
 
-An `Echelon` takes its matrix as columns, each a sparse {row index: entry}
-mapping, which is how the program's product vectors come.  Its integer rows
-are built in one pass over the nonzero entries, and only a row that holds a
-Fraction is scaled to integers (common denominator).  The elimination owns
-those rows and updates them in place with cross-multiplication; after every
+Every row inside the elimination is one sparse integer row, a {column:
+nonzero int} mapping that never stores a zero.  An `Echelon` takes its matrix
+as columns, each a sparse {row index: entry} mapping, which is how the
+program's product vectors come; its rows are built in one pass over the
+nonzero entries, and only a row that holds a Fraction is scaled to integers
+(common denominator).  The elimination owns those rows and updates them in
+place with cross-multiplication: the row is scaled, and then only the pivot
+row's entries are subtracted, so an update touches the row's own entries and
+the pivot row's, and an entry that becomes zero is deleted.  After every
 update the row is divided by its content (gcd of the entries, computed with
 an early exit, and read from the updated entries alone when their gcd is 1)
 so entries stay small in practice.  A kernel comes out in the same sparse
@@ -16,19 +20,13 @@ makes a vector dense.  The dense entry points (`rank_of`, `kernel_basis`,
 `rref`, `membership`) read their matrix into such columns and are the
 tests' API; the program calls none of them.
 
-Pivot rows are mostly zeros, so an update scales the row being reduced and
-then subtracts only at the pivot row's nonzero entries (its support, listed
-once per pivot row).  Off the support the pivot entry is zero, so every entry
-is the same integer a full-width update would give, and only the support can
-change the row's nonzero count, which the forward pass keeps per row.
-
 The pivot row for a column is the one with the smallest pivot magnitude,
 which keeps coefficient growth down; among those, the one with the fewest
-nonzeros (Markowitz's fill-reducing choice), which keeps the supports of the
-updates and of the rows they produce small; then the first.  Reduced row
-echelon form of a matrix is unique, so rank, pivot columns, RREF, kernel and
-membership results do not depend on the pivoting strategy; only the
-intermediate integers do.
+nonzeros (Markowitz's fill-reducing choice, read as the length of the row),
+which keeps the updates and the rows they produce small; then the first.
+Reduced row echelon form of a matrix is unique, so rank, pivot columns,
+RREF, kernel and membership results do not depend on the pivoting strategy;
+only the intermediate integers do.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 Number = int | Fraction
 Column = Mapping[int, Number]
+Row = dict[int, int]
 
 
 def sparse(vector: Sequence[Number]) -> dict[int, Number]:
@@ -55,96 +54,85 @@ def dense(column: Column, length: int) -> list[Number]:
     return vec
 
 
-def _as_int_row(row: Sequence[Number]) -> list[int]:
-    """Scale a row of ints/Fractions to integers (common denominator)."""
-    # the exact type tests are cheap, where isinstance against Fraction goes
-    # through the ABC machinery for every entry
-    if all(type(x) is int for x in row):
-        return list(row)
+def _as_int_row(row: Mapping[int, Number]) -> Row:
+    """Scale a sparse row of nonzero ints/Fractions to integers (common
+    denominator)."""
     denom = 1
-    for x in row:
+    for x in row.values():
+        # the exact type test is cheap, where isinstance against Fraction
+        # goes through the ABC machinery for every entry
         if type(x) is not int and isinstance(x, Fraction):
             d = x.denominator
             denom = denom // gcd(denom, d) * d
     if denom == 1:
-        return [int(x) for x in row]
-    return [x * denom if type(x) is int else x.numerator * (denom // x.denominator)
-            for x in row]
+        return {j: int(x) for j, x in row.items()}
+    return {j: x * denom if type(x) is int else x.numerator * (denom // x.denominator)
+            for j, x in row.items()}
 
 
-def _content(row: Sequence[int]) -> int:
+def _content(entries: Iterable[int]) -> int:
     g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
+    for x in entries:
+        g = gcd(g, x)
+        if g == 1:
+            return 1
     return g
 
 
-def _reduce_content(row: list[int]) -> None:
+def _reduce_content(row: Row) -> None:
     """Divide the row by its content, in place."""
-    g = _content(row)
+    g = _content(row.values())
     if g > 1:
-        row[:] = [x // g for x in row]
+        for j in row:
+            row[j] //= g
 
 
-def _normalize(row: list[int]) -> None:
-    """Divide by content and make the first nonzero entry positive, in place."""
-    _reduce_content(row)
-    for x in row:
-        if x:
-            if x < 0:
-                row[:] = [-v for v in row]
-            return
+def _normalize(row: Row, col: int) -> None:
+    """Divide by content and make the pivot entry row[col] positive, in place."""
+    g = _content(row.values())
+    if row[col] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
 
 
-def _support(row: Sequence[int]) -> list[tuple[int, int]]:
-    """The (column, entry) pairs of a row's nonzero entries."""
-    return [(j, y) for j, y in enumerate(row) if y]
-
-
-def _cross_eliminate(row: list[int], prow: Sequence[int], col: int,
-                     support: list[tuple[int, int]], count: int) -> int:
+def _cross_eliminate(row: Row, prow: Row, col: int) -> None:
     """Replace `row` in place by p*row - a*prow, scaled to kill row[col] and
-    content-reduced; return `count` plus the change in its nonzero count.
+    content-reduced.
 
-    `support` is `_support(prow)`; only those entries are updated after the
-    scaling, so only they can change the count.  Given the row's nonzero
-    count, the result is its new one.  `prow` is not modified.
+    After the scaling only the pivot row's entries are updated, and each one
+    that becomes zero is deleted, so the row stores no zero.  `prow` is not
+    modified.
     """
     a = row[col]
     p = prow[col]
     g = gcd(p, a)
     mp, ma = p // g, a // g
     if mp == -1:
-        row[:] = [-x for x in row]
+        for j in row:
+            row[j] = -row[j]
     elif mp != 1:
-        row[:] = [mp * x for x in row]
+        for j in row:
+            row[j] *= mp
     # the content divides the gcd of the updated entries, so a gcd of 1
     # there settles it without scanning the rest of the row
     g = 0
-    for j, y in support:
-        x = row[j]
-        v = x - ma * y
-        row[j] = v
-        # y and ma are nonzero, so a zero entry always becomes nonzero
-        if not x:
-            count += 1
-        elif not v:
-            count -= 1
-        g = gcd(g, v)
+    for j, y in prow.items():
+        v = row.get(j, 0) - ma * y
+        if v:
+            row[j] = v
+            g = gcd(g, v)
+        else:
+            del row[j]
     if g != 1:
         _reduce_content(row)
-    return count
 
 
-def _int_rows(columns: Sequence[Column], nrows: int) -> tuple[list[list[int]], list[int]]:
-    """Integer rows of the matrix with these columns, and each row's nonzero
-    count.  The caller's mappings are only read."""
-    ncols = len(columns)
-    rows: list[list] = [[0] * ncols for _ in range(nrows)]
-    counts = [0] * nrows
+def _int_rows(columns: Sequence[Column], nrows: int) -> list[Row]:
+    """Sparse integer rows of the matrix with these columns.  The caller's
+    mappings are only read."""
+    rows: list[dict] = [{} for _ in range(nrows)]
     fractional = set()
     for j, column in enumerate(columns):
         if column and (min(column) < 0 or max(column) >= nrows):
@@ -152,12 +140,11 @@ def _int_rows(columns: Sequence[Column], nrows: int) -> tuple[list[list[int]], l
         for i, x in column.items():
             if x:
                 rows[i][j] = x
-                counts[i] += 1
                 if type(x) is not int:
                     fractional.add(i)
     for i in fractional:
         rows[i] = _as_int_row(rows[i])
-    return rows, counts
+    return rows
 
 
 def _columns(rows: Iterable[Sequence[Number]], ncols: int) -> tuple[list[dict[int, Number]], int]:
@@ -175,49 +162,40 @@ def _columns(rows: Iterable[Sequence[Number]], ncols: int) -> tuple[list[dict[in
     return columns, nrows
 
 
-def _forward(rows: list[list[int]], counts: list[int], ncols: int) -> list[tuple[int, list[int]]]:
-    """Forward elimination of `rows` in place, keeping `counts`, their
-    nonzero counts, up to date; returns (pivot column, row) pairs, columns
-    ascending."""
-    pending = [i for i, n in enumerate(counts) if n]
-    pivots: list[tuple[int, list[int]]] = []
+def _forward(rows: list[Row], ncols: int) -> list[tuple[int, Row]]:
+    """Forward elimination of `rows` in place; returns (pivot column, row)
+    pairs, columns ascending, each row one of the given ones."""
+    pending = [row for row in rows if row]
+    pivots: list[tuple[int, Row]] = []
     for col in range(ncols):
         if not pending:
             break
-        cands = [i for i in pending if rows[i][col]]
+        cands = [row for row in pending if col in row]
         if not cands:
             continue
         # smallest pivot magnitude keeps coefficient growth down; among
         # equal magnitudes the row with fewest nonzeros (Markowitz) keeps
-        # the fill-in of the updates down; candidates ascend, so min keeps
-        # the first of a tie
-        low = min(abs(rows[i][col]) for i in cands)
-        best = min((i for i in cands if abs(rows[i][col]) == low), key=counts.__getitem__)
-        prow = rows[best]
-        _normalize(prow)
-        support = _support(prow)
-        counts[best] = 0
-        for i in cands:
-            if i != best:
-                counts[i] = _cross_eliminate(rows[i], prow, col, support, counts[i])
-        pending = [i for i in pending if counts[i]]
-        pivots.append((col, prow))
+        # the fill-in of the updates down; candidates keep the rows' order,
+        # so min keeps the first of a tie
+        low = min(abs(row[col]) for row in cands)
+        best = min((row for row in cands if abs(row[col]) == low), key=len)
+        _normalize(best, col)
+        for row in cands:
+            if row is not best:
+                _cross_eliminate(row, best, col)
+        pending = [row for row in pending if row and row is not best]
+        pivots.append((col, best))
     return pivots
 
 
-def _back_substitute(pivots: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
+def _back_substitute(pivots: list[tuple[int, Row]]) -> list[tuple[int, Row]]:
     """Make the echelon rows fully reduced (zeros above every pivot), in place."""
-    # supports[j] is the support of the finished row j, filled bottom up
-    supports: list[list[tuple[int, int]]] = [[] for _ in pivots]
     for i in range(len(pivots) - 1, -1, -1):
-        row = pivots[i][1]
-        for j in range(i + 1, len(pivots)):
-            cj, rowj = pivots[j]
-            if row[cj]:
-                # no nonzero count is kept here
-                _cross_eliminate(row, rowj, cj, supports[j], 0)
-        _normalize(row)
-        supports[i] = _support(row)
+        col, row = pivots[i]
+        for cj, rowj in pivots[i + 1:]:
+            if cj in row:
+                _cross_eliminate(row, rowj, cj)
+        _normalize(row, col)
     return pivots
 
 
@@ -236,11 +214,11 @@ def rref(rows: Iterable[Sequence[Number]], ncols: int) -> RrefResult:
     The program does not call it; the tests use it as a reference.
     """
     columns, nrows = _columns(rows, ncols)
-    pivots = _back_substitute(_forward(*_int_rows(columns, nrows), ncols))
+    pivots = _back_substitute(_forward(_int_rows(columns, nrows), ncols))
     out = []
     for col, row in pivots:
         p = row[col]
-        out.append([Fraction(x, p) for x in row])
+        out.append([Fraction(row.get(j, 0), p) for j in range(ncols)])
     zero = [Fraction(0)] * ncols
     while len(out) < nrows:
         out.append(zero[:])
@@ -259,7 +237,7 @@ class Echelon:
 
     def __init__(self, columns: Sequence[Column], nrows: int):
         self.ncols = len(columns)
-        self._pivots = _forward(*_int_rows(columns, nrows), self.ncols)
+        self._pivots = _forward(_int_rows(columns, nrows), self.ncols)
         self.rank = len(self._pivots)
         self.pivot_columns = tuple(c for c, _ in self._pivots)
         self._kernel: Optional[list[dict[int, Fraction]]] = None
@@ -281,7 +259,7 @@ class Echelon:
                     continue
                 # a pivot row is zero before its pivot column, so only the
                 # pivots before j can be nonzero at j
-                vec = {c: Fraction(-row[j], row[c]) for c, row in pivots if row[j]}
+                vec = {c: Fraction(-x, row[c]) for c, row in pivots if (x := row.get(j))}
                 vec[j] = Fraction(1)
                 basis.append(vec)
             self._kernel = basis
@@ -323,61 +301,50 @@ def membership(target: Sequence[Number], vectors: Sequence[Sequence[Number]]) ->
 class SpanBuilder:
     """Incremental row span in fully reduced echelon form, exact.
 
-    Rows are stored as integer vectors with content 1 and positive pivot;
-    insertion order does not affect the span, and the stored rows are the
-    canonical RREF of everything inserted so far.  The program does not
-    use it; it is kept as the tests' independent incremental reference.
+    Each stored row is a sparse integer row, {column: nonzero int}, with
+    content 1 and a positive pivot; insertion order does not affect the
+    span, and the stored rows are the canonical RREF of everything inserted
+    so far.  The program does not use it; it is kept as the tests'
+    independent incremental reference.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.pivot_cols: list[int] = []
-        self.rows: dict[int, list[int]] = {}
-        # support of each stored row, dropped when the row is rewritten and
-        # rebuilt when a residual next uses it
-        self._supports: dict[int, list[tuple[int, int]]] = {}
+        self.rows: dict[int, Row] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def residual(self, row: Sequence[Number]) -> list[int]:
-        """Reduce a row against the span; zero iff the row lies in it."""
+    def residual(self, row: Sequence[Number]) -> Row:
+        """Reduce a row against the span, as a sparse integer row; empty iff
+        the row lies in it."""
         if len(row) != self.width:
             raise ValueError("row length does not match width")
-        r = _as_int_row(row)
-        rows, supports = self.rows, self._supports
+        r = _as_int_row(sparse(row))
         for col in self.pivot_cols:
-            if r[col]:
-                support = supports.get(col)
-                if support is None:
-                    support = supports[col] = _support(rows[col])
-                # no nonzero count is kept here
-                _cross_eliminate(r, rows[col], col, support, 0)
+            if col in r:
+                _cross_eliminate(r, self.rows[col], col)
         return r
 
     def contains(self, row: Sequence[Number]) -> bool:
-        return not any(self.residual(row))
+        return not self.residual(row)
 
     def insert(self, row: Sequence[Number]) -> Optional[int]:
         """Add a row; returns its new pivot column, or None if dependent."""
         r = self.residual(row)
-        for col, x in enumerate(r):
-            if x:
-                break
-        else:
+        if not r:
             return None
-        _normalize(r)
-        support = _support(r)
+        col = min(r)
+        _normalize(r, col)
         # keep existing rows reduced against the new pivot
         for c in self.pivot_cols:
             stored = self.rows[c]
-            if stored[col]:
-                _cross_eliminate(stored, r, col, support, 0)
-                _normalize(stored)
-                self._supports.pop(c, None)
+            if col in stored:
+                _cross_eliminate(stored, r, col)
+                _normalize(stored, c)
         self.rows[col] = r
-        self._supports[col] = support
         self.pivot_cols.append(col)
         self.pivot_cols.sort()
         return col

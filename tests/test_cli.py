@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import godeaux
 from godeaux import cli
 from godeaux.canring import Pipeline
 
@@ -382,3 +384,18 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "surface_double_curve: double_curve=1" in result.stdout
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_structured_output_ignores_hash_seed(seed):
+    # the elimination's rows are dicts and it gathers rows in sets; the
+    # document must not depend on the iteration order a hash seed gives
+    src = str(Path(godeaux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "godeaux.cli", "canring", "--max-degree", "5",
+         "--format", "structured"],
+        capture_output=True, env=env, timeout=120)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "canring-max-degree-5.json").read_bytes()

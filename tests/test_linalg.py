@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from godeaux.linalg import (
     Echelon,
     SpanBuilder,
+    _back_substitute,
     _cross_eliminate,
     _forward,
-    _support,
+    _int_rows,
     dense,
     det_int,
     kernel_basis,
@@ -150,18 +151,18 @@ class TestEchelon:
     def test_sparsest_row_breaks_a_tie(self):
         # both rows offer a pivot of magnitude 1 in column 0; the sparser one
         # is taken, so the update touches one entry instead of four
-        pivots = _forward([[1, 1, 1, 1], [-1, 0, 0, 0]], [4, 1], 4)
-        assert pivots == [(0, [1, 0, 0, 0]), (1, [0, 1, 1, 1])]
+        pivots = _forward([{0: 1, 1: 1, 2: 1, 3: 1}, {0: -1}], 4)
+        assert pivots == [(0, {0: 1}), (1, {1: 1, 2: 1, 3: 1})]
 
     def test_counts_kept_in_place(self):
-        # the forward pass updates its own rows and their nonzero counts: the
-        # second row is eliminated to zero, and the pivot rows are the rows
-        rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1]]
-        counts = [2, 2, 2]
-        pivots = _forward(rows, counts, 3)
-        assert pivots == [(0, [1, 2, 0]), (1, [0, 1, 1])]
+        # the forward pass updates its own sparse rows, whose lengths are
+        # their nonzero counts: the second row is eliminated to the empty
+        # row, and each pivot row is the caller's own mapping
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1, 2: 1}]
+        pivots = _forward(rows, 3)
+        assert pivots == [(0, {0: 1, 1: 2}), (1, {1: 1, 2: 1})]
         assert pivots[0][1] is rows[0] and pivots[1][1] is rows[2]
-        assert rows[1] == [0, 0, 0] and counts[1] == 0
+        assert rows[1] == {}
 
 
 class TestKernel:
@@ -446,20 +447,20 @@ class TestKernelOracle:
     @ORACLE
     @given(cross_cases())
     def test_cross_eliminate_matches_dense(self, case):
-        # the update is in place: the row becomes the dense result, the
-        # pivot row is untouched, and the returned count is the row's new one
+        # the update is in place on sparse rows: the row becomes the sparse
+        # form of the dense result and stores no zero, and the pivot row is
+        # untouched
         kind, row, prow, col = case
-        prow_before = prow[:]
         expected = dense_cross_eliminate(row, prow, col)
-        support = _support(prow)
-        assert support == [(j, y) for j, y in enumerate(prow) if y]
         g = gcd(prow[col], row[col])
         assert {"one": 1, "minus_one": -1}.get(kind, prow[col]) == prow[col] // g
-        count = _cross_eliminate(row, prow, col, support, len(row) - row.count(0))
-        assert row == expected
-        assert row[col] == 0
+        row, prow = sparse(row), sparse(prow)
+        prow_before = dict(prow)
+        _cross_eliminate(row, prow, col)
+        assert row == sparse(expected)
+        assert col not in row
+        assert all(type(x) is int and x for x in row.values())
         assert prow == prow_before
-        assert count == len(row) - row.count(0)
 
     @ORACLE
     @given(matrices())
@@ -490,6 +491,17 @@ class TestKernelOracle:
         assert echelon.rank == len(pivots)
         assert echelon.pivot_columns == pivots
         assert dense_kernel(echelon) == reference_kernel(rows, ncols)
+        # no row ever stores a zero, which the pivot search (`col in row`)
+        # and the tie-break (`len(row)`) rely on: not the eliminated rows,
+        # not the pivot rows, and not the pivot rows once fully reduced
+        int_rows = _int_rows(columns, nrows)
+        forward = _forward(int_rows, ncols)
+        assert tuple(c for c, _ in forward) == pivots
+        assert all(any(row is r for r in int_rows) for _, row in forward)
+        for row in int_rows:
+            assert all(type(x) is int and x for x in row.values())
+        for _, row in _back_substitute(forward):
+            assert all(type(x) is int and x for x in row.values())
         # the sparse kernel contract: one vector per free column j, its keys
         # ascending, pivot columns before j and then j, where the entry is 1;
         # every listed entry is a nonzero Fraction
@@ -565,16 +577,12 @@ class TestKernelOracle:
                 grown = len(reference_rref(seen, ncols)[1])
                 assert (got is not None) == (grown > rank)
                 rank = grown
-                for c, support in sb._supports.items():
-                    assert support == _support(sb.rows[c])
             assert sb.rank == len(pivots)
             assert sorted(sb.pivot_cols) == list(pivots)
-            assert [sb.rows[c] for c in pivots] == [primitive(r) for r in reduced]
+            assert [dense(sb.rows[c], ncols) for c in pivots] == [primitive(r) for r in reduced]
             for row in rows:
                 assert sb.contains(row)
-                assert not any(sb.residual(row))
-            for c, support in sb._supports.items():
-                assert support == _support(sb.rows[c])
+                assert not sb.residual(row)
 
 
 @st.composite
