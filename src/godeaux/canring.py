@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
@@ -31,8 +31,8 @@ def _strip(beta: Sequence[int]) -> tuple[int, ...]:
 class _ProductCache:
     """Monomial products of a fixed (growable) element list, each product
     built from a cached one and one element by a single call of `multiply`
-    (plain multiplication, or `HypersurfaceRing.multiply` for products in
-    normal form in S/f)."""
+    (plain multiplication, or `Pipeline._products`' product in S/f of a
+    (degree, coordinate column) pair and an element)."""
 
     def __init__(self, elements: list, one, multiply=mul):
         self.elements = elements
@@ -86,15 +86,17 @@ class Pipeline:
     read off one kernel (`descend_space`).  Monomial products of an element
     list are built once each by a `_ProductCache`: the residues of the
     ambient variables for the descent, and generator lists in S/f for
-    everything else, each product in normal form.  Every product matrix is
-    built and eliminated once by `_image`, its columns read off the
-    products' terms, and its `Echelon` gives the rank, the pivot columns
-    (new generators) and the kernel (relations, the tricanonical form).  A
-    membership or spanning check is the rank of the descend vectors with
-    the target or the pivot products, and a base-locus certificate is the
-    one kernel vector of the pivot products with a pure power.  The
-    reference generators, their presentation ring and their product cache
-    are built with the pipeline.
+    everything else, each product a degree and the coordinates of its
+    normal form, made from a cached product by `HypersurfaceRing.times`.
+    Every product matrix is built and eliminated once by `_image`, its
+    columns read straight from the cache, and its `Echelon` gives the rank,
+    the pivot columns (new generators) and the kernel (relations, the
+    tricanonical form).  A relation multiple is its relation's coordinates
+    shifted by a monomial.  A membership or spanning check is the rank of
+    the descend vectors with the target or the pivot products, and a
+    base-locus certificate is the one kernel vector of the pivot products
+    with a pure power.  The reference generators, their presentation ring
+    and their product cache are built with the pipeline.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -115,16 +117,31 @@ class Pipeline:
         self._relations: Optional[RelationSet] = None
 
     def _products(self, elements: list[Poly]) -> _ProductCache:
-        """Products of `elements` in S/f, each in normal form."""
-        return _ProductCache(elements, self.ring.one(), self.quotient.multiply)
+        """Products of `elements` in S/f, each a (degree, column) pair: the
+        coordinates of its normal form over the degree's monomial basis."""
+        times = self.quotient.times
+        degree = self.ring.degree
+
+        def multiply(product: tuple[int, Column], element: Poly) -> tuple[int, Column]:
+            d, column = product
+            # `times` refuses a zero or inhomogeneous element, so any term
+            # gives the element's degree
+            column = times(column, d, element)
+            return d + degree(next(iter(element.coeffs))), column
+
+        return _ProductCache(elements, (0, {0: 1}), multiply)
 
     def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
                extra: Sequence[Column] = ()) -> tuple[list[Column], Echelon]:
         """The products `monos` of `cache.elements` as coordinate columns in
         degree `degree`, and the elimination of the matrix with those
         columns followed by the `extra` ones."""
-        read = self.quotient.sparse_coordinates
-        cols = [read(cache.get(beta), degree) for beta in monos]
+        cols = []
+        for beta in monos:
+            d, column = cache.get(beta)
+            if d != degree:
+                raise ValueError(f"degree mismatch: a product of degree {d}, not {degree}")
+            cols.append(column)
         return cols, Echelon(cols + list(extra), len(self.quotient.degree_basis(degree)))
 
     # -- the descent condition ------------------------------------------
@@ -270,8 +287,9 @@ class Pipeline:
             del self._reference_images[m]
             monos = tring.monomials(m)
             position = {mono: i for i, mono in enumerate(monos)}
-            multiples = [{position[mono]: c for mono, c
-                          in (Poly(tring, {gamma: 1}) * rpoly).coeffs.items()}
+            # gamma * rpoly shifts each monomial of rpoly by gamma
+            multiples = [{position[tuple(map(add, gamma, mono))]: c
+                          for mono, c in rpoly.coeffs.items()}
                          for rpoly, rdeg in rels for gamma in tring.monomials(m - rdeg)]
             ideal = Echelon(multiples, len(monos))
             rank = ideal.rank
@@ -512,9 +530,8 @@ class Pipeline:
             width = len(quotient.degree_basis(d))
             for i in checkable:
                 k = d // weights[i]
-                mono = tuple(k if j == i else 0 for j in range(n))
-                target = quotient.sparse_coordinates(
-                    quotient.normal_form(Poly(self.ring, {mono: 1})), d)
+                # the variables are the cache's first n elements
+                target = cache.get(tuple(k if j == i else 0 for j in range(n)))[1]
                 solve = Echelon([cols[j] for j in pivots] + [target], width)
                 if solve.rank > len(pivots):
                     continue

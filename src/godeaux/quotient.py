@@ -11,8 +11,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 
-from .linalg import Number, dense
-from .poly import Monomial, Poly, WeightedRing
+from .linalg import Column, Number, dense
+from .poly import Monomial, Poly, WeightedRing, _norm_coeff
 
 
 class HypersurfaceRing:
@@ -44,6 +44,7 @@ class HypersurfaceRing:
         self._lead_exponents = tuple((i, e) for i, e in enumerate(lead) if e)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._position_cache: dict[int, dict[Monomial, int]] = {}
+        self._shift_cache: dict[tuple[Monomial, int], tuple[int, list]] = {}
 
     def __repr__(self) -> str:
         return f"HypersurfaceRing({self.ambient!r} / ({self.modulus}))"
@@ -57,18 +58,55 @@ class HypersurfaceRing:
             raise ValueError("polynomial from a different ring")
         return self._reduce(dict(p.coeffs))
 
-    def multiply(self, a: Poly, b: Poly) -> Poly:
-        """normal_form(a * b), reducing the product as it is accumulated
-        rather than building it as a Poly first."""
-        if a.ring != self.ambient or b.ring != self.ambient:
+    def times(self, column: Column, d: int, element: Poly) -> dict[int, Number]:
+        """The coordinates {position in degree_basis(d + e): coefficient} of
+        normal_form(x * element), for x given by its coordinates `column`
+        over degree_basis(d) and `element` homogeneous of degree e.
+
+        Multiplication by a monomial t is linear on S/f, so the product is
+        read off one table per term of `element`: the normal form of b * t
+        for each basis monomial b of degree d (see `_shift_table`).
+        Coefficients follow `Poly`'s rule: a value equal to an integer is an
+        int, and zeros are dropped.
+        """
+        if element.ring != self.ambient:
             raise ValueError("polynomial from a different ring")
-        work: dict[Monomial, Number] = {}
-        get = work.get
-        for m1, c1 in a.coeffs.items():
-            for m2, c2 in b.coeffs.items():
-                mono = tuple(map(add, m1, m2))
-                work[mono] = get(mono, 0) + c1 * c2
-        return self._reduce(work)
+        if element.is_zero:
+            raise ValueError("element must be nonzero")
+        out: dict[int, Number] = {}
+        get = out.get
+        degree = None
+        for t, c in element.coeffs.items():
+            e, table = self._shift_table(t, d)
+            if degree is None:
+                degree = e
+            elif e != degree:
+                raise ValueError("element must be homogeneous")
+            for i, x in column.items():
+                xc = x * c
+                for j, v in table[i]:
+                    out[j] = get(j, 0) + xc * v
+        return {j: v if type(v) is int else _norm_coeff(v) for j, v in out.items() if v}
+
+    def _shift_table(self, t: Monomial, d: int) -> tuple[int, list]:
+        """The degree e of `t`, and for each monomial of degree_basis(d) the
+        (position, coefficient) pairs of the normal form of its product with
+        t over degree_basis(d + e).  Built on first use and kept."""
+        key = (t, d)
+        got = self._shift_cache.get(key)
+        if got is None:
+            e = self.ambient.degree(t)
+            positions = self._positions(d + e)
+            table = []
+            for b in self.degree_basis(d):
+                m = tuple(map(add, b, t))
+                if self._reducible(m):
+                    nf = self._reduce({m: 1})
+                    table.append(tuple((positions[k], c) for k, c in nf.coeffs.items()))
+                else:
+                    table.append(((positions[m], 1),))
+            got = self._shift_cache[key] = (e, table)
+        return got
 
     def _reduce(self, work: dict[Monomial, Number]) -> Poly:
         """Reduce `work` (consumed) modulo the modulus in one worklist pass.
@@ -132,11 +170,15 @@ class HypersurfaceRing:
         Raises ValueError unless every term of `nf` is a basis monomial of
         degree d, which rejects both a wrong degree and an unreduced input.
         """
-        positions = self._position_cache.get(d)
-        if positions is None:
-            positions = {m: i for i, m in enumerate(self.degree_basis(d))}
-            self._position_cache[d] = positions
+        positions = self._positions(d)
         try:
             return {positions[m]: c for m, c in nf.coeffs.items()}
         except KeyError:
             raise ValueError(f"degree mismatch: not a normal form of degree {d}") from None
+
+    def _positions(self, d: int) -> dict[Monomial, int]:
+        positions = self._position_cache.get(d)
+        if positions is None:
+            positions = {m: i for i, m in enumerate(self.degree_basis(d))}
+            self._position_cache[d] = positions
+        return positions

@@ -111,6 +111,29 @@ class TestGenerators:
         assert count - 3 == pipe.instance.expected["codimension"]
 
 
+class TestProducts:
+    def test_columns_are_normal_form_coordinates(self, pipe):
+        # each cached product is the degree and the coordinates of the normal
+        # form of the substituted monomial
+        qring, cache = _quartic_products(pipe)
+        quartics = cache.elements
+        quotient = pipe.quotient
+        for d in range(3):
+            for beta in qring.monomials(d):
+                value = evaluate(Poly(qring, {beta: 1}), quartics, pipe.ring.zero(),
+                                 pipe.ring.one())
+                expected = quotient.sparse_coordinates(quotient.normal_form(value), 4 * d)
+                assert cache.get(beta) == (4 * d, expected)
+
+    def test_image_refuses_a_degree_its_products_lack(self, pipe):
+        qring, cache = _quartic_products(pipe)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            pipe._image(cache, qring.monomials(2), 7)
+        # a mixed list is refused too, not read at the first entry's degree
+        with pytest.raises(ValueError, match="degree mismatch"):
+            pipe._image(cache, list(qring.monomials(2)) + list(qring.monomials(1)), 8)
+
+
 class TestRelations:
     def test_counts(self, pipe):
         rels = pipe.relations()
@@ -230,8 +253,7 @@ class TestFourcanonical:
         # The count must also be real: an update that bypasses
         # `_cross_eliminate` would count 0 and pass vacuously.
         qring, cache = _quartic_products(pipe)
-        cols = [pipe.quotient.sparse_coordinates(cache.get(beta), 20)
-                for beta in qring.monomials(5)]
+        cols = [cache.get(beta)[1] for beta in qring.monomials(5)]
         calls = 0
         update = linalg._cross_eliminate
 
@@ -269,7 +291,7 @@ class TestFourcanonical:
 
 def _quartic_products(pipe):
     """The ring of monomials in the quartics, and a fresh cache of their
-    products in S/f."""
+    products in S/f, each a (degree, coordinate column) pair."""
     quartics = pipe.descend_polys(4)
     qring = WeightedRing([f"q{i}" for i in range(len(quartics))], [1] * len(quartics))
     return qring, pipe._products(quartics)

@@ -388,8 +388,9 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_structured_output_ignores_hash_seed(seed):
-    # the elimination's rows are dicts and it gathers rows in sets; the
-    # document must not depend on the iteration order a hash seed gives
+    # the elimination's rows are dicts and it gathers rows in sets, and the
+    # product tables are dicts keyed by monomial tuples; the document must
+    # not depend on the iteration order a hash seed gives
     src = str(Path(godeaux.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from godeaux.linalg import dense
@@ -193,6 +193,26 @@ class TestVectors:
             quotient.sparse_coordinates(parse_poly("x1*y + x1^4", ring), 4)
         assert quotient.sparse_coordinates(Poly(ring, {}), 2) == {}
 
+    def test_times_refuses_elements_without_a_degree(self, quotient, ring):
+        column = {0: 1}
+        with pytest.raises(ValueError, match="nonzero"):
+            quotient.times(column, 1, ring.zero())
+        with pytest.raises(ValueError, match="homogeneous"):
+            quotient.times(column, 1, parse_poly("x1 + y", ring))
+        other = WeightedRing(["x1", "x2", "y", "w"], [1, 1, 2, 3])
+        with pytest.raises(ValueError, match="different ring"):
+            quotient.times(column, 1, other.variable("x1"))
+
+    def test_times_builds_tables_on_first_use(self, ring):
+        fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3+x1^6", ring))
+        assert fresh._shift_cache == {}
+        z = ring.variable("z")
+        # z * z lands on the reducible z^2, whose normal form is -y^3 - x1^6
+        column = fresh.times(fresh.times({0: 1}, 0, z), 3, z)
+        basis = fresh.degree_basis(6)
+        assert {basis[i]: c for i, c in column.items()} == {(0, 0, 3, 0): -1, (6, 0, 0, 0): -1}
+        assert sorted(fresh._shift_cache) == [((0, 0, 0, 1), 0), ((0, 0, 0, 1), 3)]
+
     def test_multiply_reduces(self, quotient, ring):
         z = ring.variable("z")
         prod = quotient.normal_form(z * z)
@@ -226,25 +246,58 @@ def oracle_poly(terms):
 POLYS = st.lists(st.tuples(MONOMIAL, COEFF), max_size=4).map(oracle_poly)
 
 
-def cancelling_factors(data, quotient):
-    """Factors whose raw product holds a reducible monomial X with
-    coefficient 0, which the rewrite of a larger product term adds to again.
+def normal_form_factor(data, quotient):
+    """A degree d and the coordinates over degree_basis(d) of an element of
+    S/f, some entries Fractions."""
+    d = data.draw(st.integers(0, 6))
+    size = len(quotient.degree_basis(d))
+    return d, data.draw(st.dictionaries(st.integers(0, size - 1), COEFF, max_size=4))
 
-    With lead the leading monomial, tm another term of the modulus and S any
-    monomial making X = S*tm reducible, take B = X/lead.  Then
-    (S + B) * (lead - tm) = S*lead - X + X - B*tm: X cancels, and the
-    rewrite of S*lead lands on S*tm = X.  A few more terms ride along.
+
+def homogeneous_element(data, e, min_size=1):
+    """A polynomial of degree e whose terms may be reducible."""
+    terms = st.tuples(st.sampled_from(ORACLE_RING.monomials(e)), COEFF)
+    return data.draw(st.lists(terms, min_size=min_size, max_size=4).map(oracle_poly))
+
+
+def cancelling_factors(data, quotient):
+    """A degree d, the coordinates of an x in S/f of degree d, an element,
+    and the reducible monomial X that two products of their terms hit with
+    opposite coefficients, so X is absent from the raw product x * element.
+
+    With b1, b2 distinct basis monomials of degree d and u a monomial making
+    X = b1*b2*u reducible, take x = a*b1 + a2*b2 and element = u*(a2*b2 -
+    a*b1): X comes from b1 * (a2*b2*u) and from b2 * (-a*b1*u) and cancels,
+    while the reductions of both land in the coordinates.  A few more
+    element terms of the same degree ride along.
     """
-    lead = quotient.lead
-    tm = data.draw(st.sampled_from(sorted(m for m in quotient.modulus.coeffs if m != lead)))
-    s = tuple(e + max(l - t, 0) for e, l, t in zip(data.draw(MONOMIAL), lead, tm))
-    x = tuple(map(sum, zip(s, tm)))
-    b = tuple(xe - le for xe, le in zip(x, lead))
-    c = data.draw(COEFF)
-    extra = st.lists(st.tuples(MONOMIAL, COEFF), max_size=2).map(oracle_poly)
-    left = Poly(ORACLE_RING, {s: c}) + Poly(ORACLE_RING, {b: c})
-    right = Poly(ORACLE_RING, {lead: 1, tm: -1})
-    return left + data.draw(extra), right + data.draw(extra)
+    d = data.draw(st.integers(1, 4))
+    basis = quotient.degree_basis(d)
+    i1, i2 = data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=2,
+                                unique=True))
+    b1, b2 = basis[i1], basis[i2]
+    u = tuple(max(l - p - q, 0) + r for l, p, q, r
+              in zip(quotient.lead, b1, b2, data.draw(st.tuples(*[st.integers(0, 1)] * 4))))
+    cancelled = tuple(p + q + r for p, q, r in zip(b1, b2, u))
+    a, a2 = data.draw(COEFF), data.draw(COEFF)
+    shifted = [tuple(p + r for p, r in zip(b, u)) for b in (b2, b1)]
+    e = ORACLE_RING.degree(shifted[0])
+    element = (Poly(ORACLE_RING, {shifted[0]: a2, shifted[1]: -a})
+               + homogeneous_element(data, e, min_size=0))
+    return d, {i1: a, i2: a2}, element, cancelled
+
+
+def assert_times_matches_divide(quotient, d, column, element):
+    basis = quotient.degree_basis(d)
+    x = Poly(ORACLE_RING, {basis[i]: c for i, c in column.items()})
+    e = element.homogeneous_degree()
+    _, remainder = divide(x * element, [quotient.modulus])
+    got = quotient.times(column, d, element)
+    assert got == quotient.sparse_coordinates(remainder, d + e)
+    # `==` equates 2 and Fraction(2): every integer value is stored as an
+    # int, as `Poly` stores it, and no zero is stored
+    assert all(type(c) is int or c.denominator != 1 for c in got.values())
+    assert all(got.values())
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_MODULI))
@@ -269,14 +322,19 @@ class TestReductionOracle:
         assert oracle_quotient.normal_form(p) == remainder
 
     @ORACLE
-    @given(POLYS, POLYS)
-    def test_multiply_matches_divide(self, oracle_quotient, a, b):
-        _, remainder = divide(a * b, [oracle_quotient.modulus])
-        assert oracle_quotient.multiply(a, b) == remainder
+    @given(st.data())
+    def test_times_matches_divide(self, oracle_quotient, data):
+        d, column = normal_form_factor(data, oracle_quotient)
+        element = homogeneous_element(data, data.draw(st.integers(0, 6)))
+        assert_times_matches_divide(oracle_quotient, d, column, element)
 
     @ORACLE
     @given(st.data())
-    def test_multiply_with_cancelled_reducible_term(self, oracle_quotient, data):
-        a, b = cancelling_factors(data, oracle_quotient)
-        _, remainder = divide(a * b, [oracle_quotient.modulus])
-        assert oracle_quotient.multiply(a, b) == remainder
+    def test_times_with_cancelled_reducible_term(self, oracle_quotient, data):
+        d, column, element, cancelled = cancelling_factors(data, oracle_quotient)
+        basis = oracle_quotient.degree_basis(d)
+        raw = Poly(ORACLE_RING, {basis[i]: c for i, c in column.items()}) * element
+        assert oracle_quotient._reducible(cancelled)
+        # a riding term may hit X again
+        assume(cancelled not in raw.coeffs)
+        assert_times_matches_divide(oracle_quotient, d, column, element)
