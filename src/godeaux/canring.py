@@ -16,7 +16,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
-from .linalg import Column, Echelon, sparse
+from .linalg import Column, Echelon
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
@@ -151,7 +151,8 @@ class Pipeline:
         residue lies in the tau subring), over the monomial basis of S/f,
         each row a {basis position: entry} mapping, positions ascending.
 
-        The kernel columns are the tau basis vectors, then the residues of
+        The kernel columns, each over the 2(m + 1) coordinates of the curve
+        ring in degree m, are the tau basis vectors, then the residues of
         the basis monomials in reverse order.  A free tau column's kernel
         vector is zero past the tau columns and is dropped.  A free residue
         column's has a 1 there, zeros at the other free columns and nonzeros
@@ -168,8 +169,7 @@ class Pipeline:
         # kernel column j >= k is basis position top - j
         k = len(taus)
         top = len(cols) - 1
-        # the m + 1 tau vectors are never empty, so the first gives the height
-        kernel = Echelon([sparse(c) for c in cols], len(cols[0])).kernel()
+        kernel = Echelon(cols, 2 * (m + 1)).kernel()
         rows = [{top - j: x for j, x in reversed(v.items()) if j >= k}
                 for v in reversed(kernel)]
         rows = [row for row in rows if row]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Number, membership
+from .linalg import Number
 from .poly import Poly, WeightedRing, evaluate, parse_poly
 
 
@@ -25,9 +25,6 @@ class CurveRing:
     def __eq__(self, other) -> bool:
         return (isinstance(other, CurveRing)
                 and self.first == other.first and self.second == other.second)
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
 
     def zero(self, degree: Optional[int] = None) -> "CurveElement":
         return CurveElement(self, self.first.zero(), self.second.zero(), degree)
@@ -88,14 +85,6 @@ class CurveElement:
         return CurveElement(self.ring, self.first + other.first,
                             self.second + other.second, d)
 
-    def __sub__(self, other: "CurveElement") -> "CurveElement":
-        d = self._merge_degree(other)
-        return CurveElement(self.ring, self.first - other.first,
-                            self.second - other.second, d)
-
-    def __neg__(self) -> "CurveElement":
-        return CurveElement(self.ring, -self.first, -self.second, self.degree)
-
     def __mul__(self, other) -> "CurveElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -114,26 +103,19 @@ class CurveElement:
         return CurveElement(self.ring, self.first.scale(c),
                             self.second.scale(c), self.degree)
 
-    def __pow__(self, e: int) -> "CurveElement":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def coordinate_vector(self, d: Optional[int] = None) -> list[Number]:
-        """Concatenated coefficients of both factors over the degree-d
-        monomials, each factor listed a-power descending."""
+    def coordinate_vector(self, d: Optional[int] = None) -> dict[int, Number]:
+        """The {position: coefficient} column over the degree-d monomials of
+        both factors, 2(d + 1) positions: the first factor's a^(d-i) b^i at
+        i, the second's at d + 1 + i."""
         if d is None:
             d = self.degree
         if d is None:
             raise ValueError("degree required for the zero element")
         if self.degree is not None and self.degree != d:
             raise ValueError("degree mismatch")
-        first = [self.first.coeffs.get((d - i, i), 0) for i in range(d + 1)]
-        second = [self.second.coeffs.get((d - i, i), 0) for i in range(d + 1)]
-        return first + second
+        column = {i: x for (_, i), x in self.first.coeffs.items()}
+        column.update((d + 1 + i, x) for (_, i), x in self.second.coeffs.items())
+        return column
 
     def __repr__(self) -> str:
         return f"CurveElement(({self.first}), ({self.second}))"
@@ -187,28 +169,21 @@ class TauSubring:
         self.u = u
         self.v = v
         self.curve = u.ring
-        self._basis_cache: dict[int, list[CurveElement]] = {}
+        # the bases of degrees 0, 1, ..., len - 1
+        self._bases: list[list[CurveElement]] = [[self.curve.one()]]
 
     def basis(self, d: int) -> list[CurveElement]:
-        """The d+1 products u^i v^(d-i), listed with the u power descending."""
+        """The d+1 products u^(d-k) v^k, listed with the u power descending.
+
+        Grown from the highest cached degree up: u^(d-k) v^k is u times
+        entry k of degree d - 1, and v^d is v times its last entry."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        cached = self._basis_cache.get(d)
-        if cached is None:
-            cached = [(self.u ** i) * (self.v ** (d - i)) for i in range(d, -1, -1)]
-            self._basis_cache[d] = cached
-        return cached
+        bases = self._bases
+        while len(bases) <= d:
+            below = bases[-1]
+            bases.append([self.u * x for x in below] + [self.v * below[-1]])
+        return bases[d]
 
-    def basis_vectors(self, d: int) -> list[list[Number]]:
+    def basis_vectors(self, d: int) -> list[dict[int, Number]]:
         return [e.coordinate_vector(d) for e in self.basis(d)]
-
-    def membership(self, e: CurveElement, d: Optional[int] = None) -> Optional[list[Fraction]]:
-        """Coefficients of e over basis(d), or None if e lies outside."""
-        if d is None:
-            d = e.degree
-        if d is None:
-            raise ValueError("degree required for the zero element")
-        return membership(e.coordinate_vector(d), self.basis_vectors(d))
-
-    def contains(self, e: CurveElement, d: Optional[int] = None) -> bool:
-        return self.membership(e, d) is not None

@@ -64,16 +64,19 @@ def test_divisions_are_of_fractions(path):
 
 
 def test_canring_reads_no_dense_linear_algebra():
-    # every vector of the pipeline is a sparse mapping eliminated by one
-    # `Echelon`; the dense entry points are the tests' API only
-    dense_names = {"dense", "rank_of", "kernel_basis", "rref", "membership", "SpanBuilder"}
-    path = next(p for p in SOURCES if p.name == "canring.py")
-    for node in ast.walk(_tree(path)):
-        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
-            used = {alias.name for alias in node.names} & dense_names
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id == "linalg":
-            used = {node.attr} & dense_names
-        else:
-            continue
-        assert not used, f"canring.py:{node.lineno} reads {used} from linalg"
+    # every vector of the pipeline, the descent's curve-ring columns from
+    # residue.py included, is a sparse mapping eliminated by one `Echelon`;
+    # the dense entry points and the dense-to-sparse conversion are the
+    # tests' API only
+    dense_names = {"dense", "sparse", "rank_of", "kernel_basis", "rref", "membership",
+                   "SpanBuilder"}
+    for path in (p for p in SOURCES if p.name in ("canring.py", "residue.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                used = {alias.name for alias in node.names} & dense_names
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "linalg":
+                used = {node.attr} & dense_names
+            else:
+                continue
+            assert not used, f"{path.name}:{node.lineno} reads {used} from linalg"

@@ -8,9 +8,20 @@ import pytest
 from godeaux.poly import Poly, WeightedRing, parse_poly
 from godeaux.quotient import HypersurfaceRing
 from godeaux.residue import CurveElement, CurveRing, ResidueMap, TauSubring
-from godeaux.linalg import rank_of
+from godeaux.linalg import Echelon, dense, membership
 
 F = Fraction
+
+
+def tau_membership(tau, e, d=None):
+    """Oracle for descent: the coefficients of e over tau.basis(d), or None
+    if e lies outside the subring, by `linalg.membership` over dense
+    columns."""
+    if d is None:
+        d = e.degree
+    width = 2 * (d + 1)
+    return membership(dense(e.coordinate_vector(d), width),
+                      [dense(c, width) for c in tau.basis_vectors(d)])
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +69,27 @@ class TestCurveElement:
 
     def test_coordinate_order(self, curve):
         e = curve.element("a1^2+2*a1*b1+3*b1^2", "4*a2^2+5*a2*b2+6*b2^2")
-        assert e.coordinate_vector() == [1, 2, 3, 4, 5, 6]
+        assert e.coordinate_vector() == {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
+        # zero coefficients are left out
+        e = curve.element("-a1*b1", "7*b2^2")
+        assert e.coordinate_vector() == {1: -1, 5: 7}
 
     def test_coordinate_zero_needs_degree(self, curve):
         with pytest.raises(ValueError):
             curve.zero().coordinate_vector()
-        assert curve.zero().coordinate_vector(1) == [0, 0, 0, 0]
+        assert curve.zero().coordinate_vector(1) == {}
+
+    def test_coordinate_degree_mismatch(self, curve):
+        with pytest.raises(ValueError):
+            curve.element("a1", "a2").coordinate_vector(2)
 
     def test_graded_dimension(self, curve):
         for d in range(6):
-            # two binary forms of degree d
-            assert len(curve.zero().coordinate_vector(d)) == 2 * (d + 1)
+            # two binary forms of degree d: every monomial of both fills
+            # positions 0 .. 2d + 1
+            full = {(d - i, i): 1 for i in range(d + 1)}
+            e = CurveElement(curve, Poly(curve.first, full), Poly(curve.second, full))
+            assert sorted(e.coordinate_vector()) == list(range(2 * (d + 1)))
 
 
 class TestResidueMap:
@@ -122,22 +143,43 @@ class TestTauSubring:
         for d in range(21):
             vecs = tau.basis_vectors(d)
             assert len(vecs) == d + 1
-            assert rank_of(vecs, 2 * (d + 1)) == d + 1
+            assert Echelon(vecs, 2 * (d + 1)).rank == d + 1
+
+    @pytest.mark.parametrize("first", [20, 7])
+    def test_basis_matches_repeated_products(self, curve, first):
+        # a fresh subring asked for a high degree first builds every lower
+        # one in its loop; entry k must be u^(d-k) v^k multiplied out
+        u, v = curve.element("a1", "a2"), curve.element("b1", "a2-b2")
+        fresh = TauSubring(u, v)
+        fresh.basis(first)
+        for d in range(21):
+            basis = fresh.basis(d)
+            assert len(basis) == d + 1
+            for k, element in enumerate(basis):
+                expected = curve.one()
+                for factor in [u] * (d - k) + [v] * k:
+                    expected = expected * factor
+                assert element == expected, (d, k)
+                assert element.degree == d
+
+    def test_basis_refuses_negative_degree(self, tau):
+        with pytest.raises(ValueError):
+            tau.basis(-1)
 
     def test_degree_two_membership(self, tau, curve):
         e = curve.element("b1^2-a1*b1+a1^2", "b2^2-a2*b2+a2^2")
-        coeffs = tau.membership(e)
+        coeffs = tau_membership(tau, e)
         assert coeffs == [F(1), F(-1), F(1)]
 
     def test_zero_membership(self, tau, curve):
-        coeffs = tau.membership(curve.zero(), 3)
+        coeffs = tau_membership(tau, curve.zero(), 3)
         assert coeffs == [F(0)] * 4
 
     def test_x1_residue_not_in_tau(self, tau, res, ring):
         e = res.residue(ring.variable("x1"))
-        assert tau.membership(e) is None
+        assert tau_membership(tau, e) is None
 
     def test_generator_residue_in_tau(self, tau, res, ring):
         e = res.residue(parse_poly("x1^2+x2^2-y", ring))
-        coeffs = tau.membership(e)
+        coeffs = tau_membership(tau, e)
         assert coeffs == [F(1), F(-1), F(1)]
