@@ -20,6 +20,37 @@ from .linalg import Column, Echelon
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
 
 
+# `relations` searches from this degree on.  A dependency among the
+# generators below it is not a relation, so only a divisor of this degree or
+# more may prune the reference image's columns (see `_reference_image`).
+_FIRST_RELATION_DEGREE = 4
+
+
+def _candidates(ring: WeightedRing, m: int, pivots: dict[int, set[Monomial]]) -> list[Monomial]:
+    """The degree-m monomials of `ring`, in its order, each of whose
+    one-variable divisors beta - e_i lies in `pivots[m - w_i]`, where that
+    degree is recorded.
+
+    The candidates of a greedy pivot choice over products in a term order:
+    a divisor beta - e_i that is no pivot is a combination of earlier
+    products of its degree, so beta is the same combination of their e_i
+    multiples, which come before beta.  Such a beta is never a pivot and is
+    left out; the pivots (the standard monomials) form an order ideal, so
+    the ranks and pivot products are those of all degree-m monomials.
+    """
+    weights = ring.weights
+    out = []
+    for beta in ring.monomials(m):
+        for i, e in enumerate(beta):
+            if e:
+                known = pivots.get(m - weights[i])
+                if known is not None and beta[:i] + (e - 1,) + beta[i + 1:] not in known:
+                    break
+        else:
+            out.append(beta)
+    return out
+
+
 def _strip(beta: Sequence[int]) -> tuple[int, ...]:
     """Drop trailing zeros so cache keys survive appending new generators."""
     out = list(beta)
@@ -91,7 +122,12 @@ class Pipeline:
     Every product matrix is built and eliminated once by `_image`, its
     columns read straight from the cache, and its `Echelon` gives the rank,
     the pivot columns (new generators) and the kernel (relations, the
-    tricanonical form).  A relation multiple is its relation's coordinates
+    tricanonical form).  The generators, the reference image, the relation
+    multiples and the quartic spans eliminate only `_candidates`: the
+    products whose every one-variable divisor was a pivot of its own degree.
+    The reference image, whose kernel gives the relations, prunes only by
+    divisors of degree `_FIRST_RELATION_DEGREE` or more, where the relations
+    span the kernel.  A relation multiple is its relation's coordinates
     shifted by a monomial.  A membership or spanning check is the rank of
     the descend vectors with the target or the pivot products, and a
     base-locus certificate is the one kernel vector of the pivot products
@@ -113,7 +149,9 @@ class Pipeline:
         self.presentation_ring = WeightedRing([f"T{i + 1}" for i in range(len(degrees))],
                                               degrees)
         self._reference_products = self._products(self.reference_generators.polynomials())
-        self._reference_images: dict[int, tuple[list[Column], Echelon]] = {}
+        self._reference_images: dict[int, tuple[list[Monomial], list[Column], Echelon]] = {}
+        # pivot monomials of the reference image, per degree from the floor on
+        self._reference_pivots: dict[int, set[Monomial]] = {}
         self._relations: Optional[RelationSet] = None
 
     def _products(self, elements: list[Poly]) -> _ProductCache:
@@ -197,12 +235,17 @@ class Pipeline:
     def minimal_generators(self) -> GeneratorSet:
         """Greedy degree-by-degree complement of the product span: the new
         generators of degree m are the descend vectors whose columns are
-        pivots of [products | descend vectors]."""
+        pivots of [products | descend vectors].
+
+        The products are the `_candidates`, and the standard set of a degree
+        is its pivot products and its new generators: a product with any
+        other divisor lies in the span of earlier products."""
         if self._computed is not None:
             return self._computed
         self.precompute_descend()
         gens: list[tuple[Poly, int]] = []
         cache = self._products([])
+        standard: dict[int, set[Monomial]] = {}
         for m in range(2, self.max_degree + 1):
             vectors = self.descend_space(m)
             if not vectors:
@@ -211,25 +254,39 @@ class Pipeline:
             if gens:
                 # every generator so far has degree below m, so each degree-m
                 # monomial in them is a product of at least two
-                monos = WeightedRing([f"g{i}" for i in range(len(gens))],
-                                     [d for _, d in gens]).monomials(m)
+                monos = _candidates(WeightedRing([f"g{i}" for i in range(len(gens))],
+                                                 [d for _, d in gens]), m, standard)
             cols, image = self._image(cache, monos, m, vectors)
-            for j in image.pivot_columns:
-                if j >= len(cols):
-                    poly = self.descend_polys(m)[j - len(cols)]
-                    gens.append((poly, m))
-                    cache.elements.append(poly)
+            new = [self.descend_polys(m)[j - len(cols)]
+                   for j in image.pivot_columns if j >= len(cols)]
+            pad = (0,) * len(new)
+            if new:
+                # every monomial gains a zero exponent per new generator
+                standard = {d: {beta + pad for beta in betas} for d, betas in standard.items()}
+            standard[m] = {monos[j] + pad for j in image.pivot_columns if j < len(cols)}
+            total = len(gens) + len(new)
+            standard[m].update(tuple(int(i == g) for i in range(total))
+                               for g in range(len(gens), total))
+            gens += [(poly, m) for poly in new]
+            cache.elements.extend(new)
         self._computed = GeneratorSet(gens)
         return self._computed
 
-    def _reference_image(self, m: int) -> tuple[list[Column], Echelon]:
-        """Image of the degree-m monomials of the presentation ring.  Until
-        the relations are known it is kept, and `relations` releases it once
-        it has read the kernel."""
+    def _reference_image(self, m: int) -> tuple[list[Monomial], list[Column], Echelon]:
+        """The `_candidates` among the degree-m monomials of the presentation
+        ring, their images, and the elimination of those.  Only the pivots of
+        degrees from `_FIRST_RELATION_DEGREE` on prune: there every product
+        kernel vector is in the relation ideal, so each pruned column's
+        kernel vector, a variable times one of a lower degree, is a sum of
+        relation multiples.  Until the relations are known the image is
+        kept, and `relations` releases it once it has read the kernel."""
         got = self._reference_images.get(m)
         if got is None:
-            got = self._image(self._reference_products,
-                              self.presentation_ring.monomials(m), m)
+            monos = _candidates(self.presentation_ring, m, self._reference_pivots)
+            cols, image = self._image(self._reference_products, monos, m)
+            if m >= _FIRST_RELATION_DEGREE:
+                self._reference_pivots[m] = {monos[j] for j in image.pivot_columns}
+            got = (monos, cols, image)
             if self._relations is None:
                 self._reference_images[m] = got
         return got
@@ -253,7 +310,7 @@ class Pipeline:
         spans = []
         for m in range(2, self.max_degree + 1):
             descend = self.descend_space(m)
-            cols, image = self._reference_image(m)
+            _, cols, image = self._reference_image(m)
             # the pivot columns span every product
             pivots = [cols[j] for j in image.pivot_columns]
             spans.append({"degree": m, "product_rank": image.rank,
@@ -276,30 +333,47 @@ class Pipeline:
         relations are the kernel vectors whose columns are pivots of
         [independent multiples | kernel vectors]: each is independent of the
         multiples and of the kernel vectors before it.
+
+        Both eliminations take only `_candidates`.  A multiple gamma * r is
+        kept when every (gamma - e_i) * r was a pivot multiple in its degree
+        (gamma - e_i = 0 is r itself).  The kernel is that of the pruned
+        reference image, put back in full monomial positions; the multiples
+        span the pruned columns' kernel vectors, since the search starts at
+        `_FIRST_RELATION_DEGREE`, the floor below which the image prunes
+        nothing.
         """
         if self._relations is not None:
             return self._relations
         tring = self.presentation_ring
         rels: list[tuple[Poly, int]] = []
+        # per relation, its pivot multiples' gammas, keyed by degree of gamma
+        kept: list[dict[int, set[Monomial]]] = []
         ideal_ranks: dict[int, int] = {}
-        for m in range(4, self.max_degree + 1):
-            image = self._reference_image(m)[1]
+        for m in range(_FIRST_RELATION_DEGREE, self.max_degree + 1):
+            cands, _, image = self._reference_image(m)
             del self._reference_images[m]
             monos = tring.monomials(m)
             position = {mono: i for i, mono in enumerate(monos)}
+            pairs = [(r, gamma) for r, (_, rdeg) in enumerate(rels)
+                     for gamma in _candidates(tring, m - rdeg, kept[r])]
             # gamma * rpoly shifts each monomial of rpoly by gamma
             multiples = [{position[tuple(map(add, gamma, mono))]: c
-                          for mono, c in rpoly.coeffs.items()}
-                         for rpoly, rdeg in rels for gamma in tring.monomials(m - rdeg)]
+                          for mono, c in rels[r][0].coeffs.items()} for r, gamma in pairs]
             ideal = Echelon(multiples, len(monos))
+            for r, (_, rdeg) in enumerate(rels):
+                kept[r][m - rdeg] = set()
+            for j in ideal.pivot_columns:
+                r, gamma = pairs[j]
+                kept[r][m - rels[r][1]].add(gamma)
             rank = ideal.rank
-            if rank < image.ncols - image.rank:
-                kernel = image.kernel()
+            if rank < len(monos) - image.rank:
+                kernel = [{position[cands[i]]: c for i, c in v.items()} for v in image.kernel()]
                 joint = Echelon([multiples[j] for j in ideal.pivot_columns] + kernel,
                                 len(monos))
                 for j in joint.pivot_columns[rank:]:
                     poly = Poly(tring, {monos[i]: c for i, c in kernel[j - rank].items()})
                     rels.append((poly.content_normalized(), m))
+                    kept.append({})
                 rank = joint.rank
             ideal_ranks[m] = rank
         self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
@@ -426,25 +500,23 @@ class Pipeline:
         agrees with its Hilbert polynomial, which may be later than d_max; on
         the shipped instance that is from d = 6 on.
 
-        V_d = R_4 * V_{d-1}, and the pivot products of degree d-1 form a
-        basis of V_{d-1}, so degree d eliminates only the products beta + e_i
-        for beta a pivot monomial of degree d-1, not every monomial of
-        degree d in the quartics.
+        V_d = R_4 * V_{d-1}, and degree d eliminates only the `_candidates`
+        candidates: the monomials beta whose every divisor beta - e_i is a
+        pivot of degree d - 1, not every monomial of degree d in the quartics.
         """
         if d_max < 4:
             raise ValueError("d_max must be at least 4")
         cache = self._products(self.descend_polys(4))
         n = len(cache.elements)
         qring = WeightedRing([f"q{i}" for i in range(n)], [1] * n)
-        monos = list(qring.monomials(1))
+        pivots: dict[int, set[Monomial]] = {}
         h = {0: 1}
         for d in range(1, d_max + 1):
-            # keep only the pivot columns, so this degree's rows are freed
-            pivots = self._image(cache, monos, 4 * d)[1].pivot_columns
-            h[d] = len(pivots)
-            grown = {tuple(e + 1 if j == i else e for j, e in enumerate(monos[k]))
-                     for k in pivots for i in range(n)}
-            monos = sorted(grown, key=qring.sort_key)
+            monos = _candidates(qring, d, pivots)
+            # keep only the pivot monomials, so this degree's rows are freed
+            columns = self._image(cache, monos, 4 * d)[1].pivot_columns
+            h[d] = len(columns)
+            pivots[d] = {monos[j] for j in columns}
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
         return {"h": h, "second_differences": second, "quartic_count": n}
 

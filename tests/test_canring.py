@@ -166,7 +166,9 @@ class TestRelations:
         # stop once the ideal slice fills the kernel
         short = Pipeline(load_instance(), max_degree=11)
         tring = short.presentation_ring
-        kernels = {m: short._reference_image(m)[1].kernel() for m in range(4, 12)}
+        # the kernels of every monomial's product, not of the pruned image
+        kernels = {m: short._image(short._reference_products, tring.monomials(m), m)[1].kernel()
+                   for m in range(4, 12)}
         rels, ranks = [], {}
         for m in range(4, 12):
             monos = tring.monomials(m)
@@ -185,6 +187,152 @@ class TestRelations:
         assert got.ideal_ranks == ranks
         for m in range(4, 12):
             assert got.ideal_ranks[m] == len(kernels[m])
+
+
+def full_generators(pipe):
+    """Oracle for `Pipeline.minimal_generators`: the greedy complement with
+    every degree-m monomial in the generators so far as a column, no
+    candidate pruning."""
+    gens = []
+    cache = pipe._products([])
+    for m in range(2, pipe.max_degree + 1):
+        vectors = pipe.descend_space(m)
+        if not vectors:
+            continue
+        monos = ()
+        if gens:
+            monos = WeightedRing([f"g{i}" for i in range(len(gens))],
+                                 [d for _, d in gens]).monomials(m)
+        cols, image = pipe._image(cache, monos, m, vectors)
+        for j in image.pivot_columns:
+            if j >= len(cols):
+                gens.append((pipe.descend_polys(m)[j - len(cols)], m))
+                cache.elements.append(gens[-1][0])
+    return gens
+
+
+def unpruned_presentation(pipe):
+    """Oracle for `verify_reference` and `relations`: the algorithm that
+    eliminated every monomial of the presentation ring and every relation
+    multiple.  Returns the formatted relations, the ideal ranks and the
+    reference report."""
+    tring = pipe.presentation_ring
+    quotient = pipe.quotient
+    images = {m: pipe._image(pipe._reference_products, tring.monomials(m), m)
+              for m in range(2, pipe.max_degree + 1)}
+
+    def within(d, extra):
+        descend = pipe.descend_space(d)
+        return Echelon(descend + extra, len(quotient.degree_basis(d))).rank == len(descend)
+
+    members = [{"index": idx, "degree": d, "polynomial": format_poly(poly),
+                "member": within(d, [quotient.sparse_coordinates(quotient.normal_form(poly), d)])}
+               for idx, (poly, d) in enumerate(pipe.reference_generators.generators)]
+    spans = []
+    for m in range(2, pipe.max_degree + 1):
+        cols, image = images[m]
+        dim = pipe.descend_dimension(m)
+        spans.append({"degree": m, "product_rank": image.rank, "dimension": dim,
+                      "spans": image.rank == dim
+                      and within(m, [cols[j] for j in image.pivot_columns])})
+    report = {"members": members, "spans": spans,
+              "ok": all(e["member"] for e in members) and all(e["spans"] for e in spans)}
+    rels, ranks = [], {}
+    for m in range(4, pipe.max_degree + 1):
+        image = images[m][1]
+        monos = tring.monomials(m)
+        position = {mono: i for i, mono in enumerate(monos)}
+        multiples = [{position[tuple(g + e for g, e in zip(gamma, mono))]: c
+                      for mono, c in rpoly.coeffs.items()}
+                     for rpoly, rdeg in rels for gamma in tring.monomials(m - rdeg)]
+        ideal = Echelon(multiples, len(monos))
+        rank = ideal.rank
+        if rank < image.ncols - image.rank:
+            kernel = image.kernel()
+            joint = Echelon([multiples[j] for j in ideal.pivot_columns] + kernel, len(monos))
+            for j in joint.pivot_columns[rank:]:
+                poly = Poly(tring, {monos[i]: c for i, c in kernel[j - rank].items()})
+                rels.append((poly.content_normalized(), m))
+            rank = joint.rank
+        ranks[m] = rank
+    return [format_poly(p) for p, _ in rels], ranks, report
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return Pipeline(load_instance(), max_degree=13)
+
+
+class TestOrderIdealPruning:
+    """Each pruned elimination against the same elimination of every
+    monomial: a product with a non-pivot divisor is never a pivot, so the
+    ranks, pivot products, generators and relations are unchanged."""
+
+    def test_reference_image_matches_all_monomials(self, deep):
+        tring = deep.presentation_ring
+        for m in range(2, 14):
+            cands, _, image = deep._reference_image(m)
+            monos = tring.monomials(m)
+            full = deep._image(deep._reference_products, monos, m)[1]
+            assert image.rank == full.rank, m
+            assert ([cands[j] for j in image.pivot_columns]
+                    == [monos[j] for j in full.pivot_columns]), m
+        # 328 columns for a rank of 67 before the pruning; it must not rise
+        assert len(deep._reference_image(12)[0]) <= 79
+
+    def test_minimal_generators_match_full_enumeration(self, deep):
+        assert deep.minimal_generators().generators == full_generators(deep)
+
+    def test_fourcanonical_pivots_match_grown_set(self, monkeypatch):
+        # oracle: degree d eliminates beta + e_i for every pivot beta of
+        # degree d - 1, the products of any pivot divisor
+        fresh = Pipeline(load_instance())
+        seen = {}
+        image_of = fresh._image
+
+        def recording(cache, monos, degree, extra=()):
+            got = image_of(cache, monos, degree, extra)
+            seen[degree // 4] = [monos[j] for j in got[1].pivot_columns]
+            return got
+
+        monkeypatch.setattr(fresh, "_image", recording)
+        fresh.fourcanonical(d_max=6)
+        monkeypatch.undo()
+        qring, cache = _quartic_products(fresh)
+        monos = list(qring.monomials(1))
+        for d in range(1, 7):
+            image = fresh._image(cache, monos, 4 * d)[1]
+            pivots = [monos[j] for j in image.pivot_columns]
+            assert seen[d] == pivots, d
+            grown = {tuple(e + (j == i) for j, e in enumerate(beta))
+                     for beta in pivots for i in range(qring.n)}
+            monos = sorted(grown, key=qring.sort_key)
+
+
+def repeat(gens, i):
+    """`gens` with the entry at index i listed twice."""
+    return gens[:i + 1] + gens[i:]
+
+
+def swap_first_two(gens):
+    return [gens[1], gens[0]] + gens[2:]
+
+
+class TestNonGenericReference:
+    # a dependency among the degree-2 generators is no relation, since the
+    # search starts at degree 4, so it must not prune the kernel's columns
+    @pytest.mark.parametrize("alter", [lambda g: repeat(g, 0), lambda g: repeat(g, 6),
+                                       swap_first_two],
+                             ids=["degree-2-repeated", "degree-4-repeated", "first-two-swapped"])
+    def test_matches_unpruned(self, alter):
+        instance = load_instance()
+        instance.reference_generators = alter(list(instance.reference_generators))
+        pipe = Pipeline(instance, max_degree=11)
+        relations, ranks, report = unpruned_presentation(pipe)
+        assert pipe.verify_reference() == report
+        got = pipe.relations()
+        assert [format_poly(p) for p, _ in got.relations] == relations
+        assert got.ideal_ranks == ranks
 
 
 class TestHilbert:
@@ -248,8 +396,9 @@ class TestFourcanonical:
         assert four["quartic_count"] == 7
 
     def test_spans_match_all_monomials(self, pipe, four):
-        # degree d eliminates only the products grown from the pivots of
-        # degree d - 1; the rank of every monomial product is the reference
+        # degree d eliminates only the products whose every divisor is a
+        # pivot of degree d - 1; the rank of every monomial product is the
+        # reference
         assert four["h"] == {0: 1, **_all_monomial_ranks(pipe, 5)}
 
     def test_larger_d_max_continues(self):
@@ -311,7 +460,7 @@ def _quartic_products(pipe):
 
 def _all_monomial_ranks(pipe, d_max):
     """h(d) as the rank of the products of every degree-d monomial in the
-    quartics, the formula used before spans were grown from pivots."""
+    quartics, the formula used before spans were pruned to candidates."""
     qring, cache = _quartic_products(pipe)
     return {d: pipe._image(cache, qring.monomials(d), 4 * d)[1].rank
             for d in range(1, d_max + 1)}

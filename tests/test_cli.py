@@ -56,6 +56,13 @@ class TestCanring:
         assert statuses["generator-profile"] == "OK"
         assert out.encode() == (GOLDEN / "canring-max-degree-5.json").read_bytes()
 
+    def test_horizon_thirteen_matches_golden(self, capsys):
+        # the deepest pinned horizon: the relation search prunes the most
+        # multiples in degree 13
+        code, out, _ = run_cli(capsys, "canring", "--max-degree", "13", "--format", "structured")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "canring-max-degree-13.json").read_bytes()
+
     def test_horizon_below_generators_skips(self, capsys):
         # the degree-5 generators lie above horizon 4, so neither the
         # generator profile nor the codimension can be decided there
