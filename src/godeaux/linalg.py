@@ -11,14 +11,17 @@ nonzero entries, and only a row that holds a Fraction is scaled to integers
 (common denominator).  The elimination owns those rows and updates them in
 place with cross-multiplication: the row is scaled, and then only the pivot
 row's entries are subtracted, so an update touches the row's own entries and
-the pivot row's, and an entry that becomes zero is deleted.  After every
-update the row is divided by its content (gcd of the entries, computed with
-an early exit, and read from the updated entries alone when their gcd is 1)
-so entries stay small in practice.  A kernel comes out in the same sparse
-format, one {column: entry} mapping per basis vector, so the program never
-makes a vector dense.  The dense entry points (`rank_of`, `kernel_basis`,
-`rref`, `membership`) read their matrix into such columns and are the
-tests' API; the program calls none of them.
+the pivot row's, and an entry that becomes zero is deleted.  Every pivot row
+is divided by its content, so most pivot entries are 1, and an update by a
+pivot entry of 1 is the plain row - a*prow, with no scaling and no gcd.
+After an update by any other pivot entry the row is divided by its content
+(gcd of the entries, computed with an early exit, and read from the updated
+entries alone when their gcd is 1), which also removes what content the
+unit updates before it left, so entries stay small in practice.  A kernel
+comes out in the same sparse format, one {column: entry} mapping per basis
+vector, so the program never makes a vector dense.  The dense entry points
+(`rank_of`, `kernel_basis`, `rref`, `membership`) read their matrix into
+such columns and are the tests' API; the program calls none of them.
 
 The pivot row for a column is the one with the smallest pivot magnitude,
 which keeps coefficient growth down; among those, the one with the fewest
@@ -98,15 +101,26 @@ def _normalize(row: Row, col: int) -> None:
 
 
 def _cross_eliminate(row: Row, prow: Row, col: int) -> None:
-    """Replace `row` in place by p*row - a*prow, scaled to kill row[col] and
-    content-reduced.
+    """Replace `row` in place by p*row - a*prow, scaled to kill row[col].
 
     After the scaling only the pivot row's entries are updated, and each one
-    that becomes zero is deleted, so the row stores no zero.  `prow` is not
-    modified.
+    that becomes zero is deleted, so the row stores no zero.  A pivot entry
+    p of 1 needs no scaling, and the row is left as row - a*prow without
+    content reduction: whatever content it has is removed by `_normalize`
+    when the row becomes a pivot, or by its next update with a pivot entry
+    other than 1.  Otherwise the row is divided by its content.  `prow` is
+    not modified.
     """
     a = row[col]
     p = prow[col]
+    if p == 1:
+        for j, y in prow.items():
+            v = row.get(j, 0) - a * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        return
     g = gcd(p, a)
     mp, ma = p // g, a // g
     if mp == -1:
@@ -165,25 +179,28 @@ def _columns(rows: Iterable[Sequence[Number]], ncols: int) -> tuple[list[dict[in
 def _forward(rows: list[Row], ncols: int) -> list[tuple[int, Row]]:
     """Forward elimination of `rows` in place; returns (pivot column, row)
     pairs, columns ascending, each row one of the given ones."""
-    pending = [row for row in rows if row]
+    # the rows not yet pivots, keyed by identity, in the rows' order; a row
+    # leaves when it becomes a pivot or empty
+    pending = {id(row): row for row in rows if row}
     pivots: list[tuple[int, Row]] = []
     for col in range(ncols):
         if not pending:
             break
-        cands = [row for row in pending if col in row]
+        cands = [row for row in pending.values() if col in row]
         if not cands:
             continue
         # smallest pivot magnitude keeps coefficient growth down; among
         # equal magnitudes the row with fewest nonzeros (Markowitz) keeps
         # the fill-in of the updates down; candidates keep the rows' order,
         # so min keeps the first of a tie
-        low = min(abs(row[col]) for row in cands)
-        best = min((row for row in cands if abs(row[col]) == low), key=len)
+        best = min(cands, key=lambda row: (abs(row[col]), len(row)))
         _normalize(best, col)
+        del pending[id(best)]
         for row in cands:
             if row is not best:
                 _cross_eliminate(row, best, col)
-        pending = [row for row in pending if row and row is not best]
+                if not row:
+                    del pending[id(row)]
         pivots.append((col, best))
     return pivots
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .linalg import Number
 
@@ -82,19 +82,26 @@ class WeightedRing:
             raise ValueError("degree must be nonnegative")
         cached = self._mono_cache.get(d)
         if cached is None:
-            out = sorted(self._enum(0, d), key=self.sort_key)
-            cached = self._mono_cache[d] = tuple(out)
+            cached = self._mono_cache[d] = tuple(self._ascending(self.n - 1, d, {}))
         return cached
 
-    def _enum(self, i: int, remaining: int) -> Iterator[Monomial]:
-        if i == self.n:
-            if remaining == 0:
-                yield ()
-            return
-        w = self.weights[i]
-        for e in range(remaining // w + 1):
-            for tail in self._enum(i + 1, remaining - e * w):
-                yield (e,) + tail
+    def _ascending(self, i: int, remaining: int, memo: dict) -> list[Monomial]:
+        """The monomials in the first i + 1 variables of weighted degree
+        `remaining`, ascending: the order compares exponents from the last
+        variable back, so variable i's exponent is the outer loop, ascending,
+        and each of its values lists the shorter monomials in their order.
+        Sub-lists are shared through `memo`."""
+        key = (i, remaining)
+        out = memo.get(key)
+        if out is None:
+            if i < 0:
+                out = [()] if remaining == 0 else []
+            else:
+                w = self.weights[i]
+                out = [head + (e,) for e in range(remaining // w + 1)
+                       for head in self._ascending(i - 1, remaining - e * w, memo)]
+            memo[key] = out
+        return out
 
     def zero(self) -> "Poly":
         return Poly(self, {})

@@ -45,6 +45,7 @@ class HypersurfaceRing:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._position_cache: dict[int, dict[Monomial, int]] = {}
         self._shift_cache: dict[tuple[Monomial, int], tuple[int, list]] = {}
+        self._unit_cache: dict[int, list[tuple[tuple[int, int]]]] = {}
 
     def __repr__(self) -> str:
         return f"HypersurfaceRing({self.ambient!r} / ({self.modulus}))"
@@ -97,6 +98,7 @@ class HypersurfaceRing:
         if got is None:
             e = self.ambient.degree(t)
             positions = self._positions(d + e)
+            units = self._units(d + e)
             table = []
             for b in self.degree_basis(d):
                 m = tuple(map(add, b, t))
@@ -104,7 +106,7 @@ class HypersurfaceRing:
                     nf = self._reduce({m: 1})
                     table.append(tuple((positions[k], c) for k, c in nf.coeffs.items()))
                 else:
-                    table.append(((positions[m], 1),))
+                    table.append(units[positions[m]])
             got = self._shift_cache[key] = (e, table)
         return got
 
@@ -175,6 +177,15 @@ class HypersurfaceRing:
             return {positions[m]: c for m, c in nf.coeffs.items()}
         except KeyError:
             raise ValueError(f"degree mismatch: not a normal form of degree {d}") from None
+
+    def _units(self, d: int) -> list[tuple[tuple[int, int]]]:
+        """For each position of degree_basis(d), the shift-table entry
+        ((position, 1),) of a product that is that basis monomial, one
+        object shared by every table that lands in degree d."""
+        units = self._unit_cache.get(d)
+        if units is None:
+            units = self._unit_cache[d] = [((i, 1),) for i in range(len(self.degree_basis(d)))]
+        return units
 
     def _positions(self, d: int) -> dict[Monomial, int]:
         positions = self._position_cache.get(d)

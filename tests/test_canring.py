@@ -426,6 +426,31 @@ class TestFourcanonical:
         assert Echelon(cols, len(pipe.quotient.degree_basis(20))).rank == 190
         assert 0 < calls <= 3675
 
+    def test_pivot_row_bit_guard(self, pipe, monkeypatch):
+        # an update by a pivot entry of 1 does not divide the row by its
+        # content, so nothing else bounds the entries the pivot rows reach:
+        # at most 23 bits on the degree-5 matrix above and 36 on the
+        # degree-6 quartic span, the values when every update was
+        # content-reduced
+        def bits(echelon):
+            return max(abs(x).bit_length() for _, row in echelon._pivots for x in row.values())
+
+        qring, cache = _quartic_products(pipe)
+        cols = [cache.get(beta)[1] for beta in qring.monomials(5)]
+        assert bits(Echelon(cols, len(pipe.quotient.degree_basis(20)))) <= 23
+        spans = {}
+        image_of = pipe._image
+
+        def recording(cache, monos, degree, extra=()):
+            got = image_of(cache, monos, degree, extra)
+            spans[degree // 4] = got[1]
+            return got
+
+        monkeypatch.setattr(pipe, "_image", recording)
+        pipe.fourcanonical(d_max=6)
+        assert spans[6].rank == 276
+        assert bits(spans[6]) <= 36
+
     def test_products_are_never_made_dense(self, monkeypatch):
         # every vector of the pipeline is a sparse mapping eliminated by
         # `Echelon`: no dense reader, dense-to-sparse conversion or dense

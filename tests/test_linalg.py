@@ -401,10 +401,13 @@ def primitive(row):
 
 
 def dense_cross_eliminate(row, prow, col):
-    """The full-width update: every entry of p*row - a*prow, content-reduced."""
+    """The full-width update: every entry of p*row - a*prow, content-reduced
+    unless the pivot entry p is 1, where it is row - a*prow as it stands."""
     g = gcd(prow[col], row[col])
     mp, ma = prow[col] // g, row[col] // g
     out = [mp * x - ma * y for x, y in zip(row, prow)]
+    if prow[col] == 1:
+        return out
     c = gcd(*out)
     return [x // c for x in out] if c > 1 else out
 
@@ -425,35 +428,63 @@ def tied_matrices(draw):
 @st.composite
 def cross_cases(draw):
     """A row, a pivot row and a column where both are nonzero, with the
-    pivot multiplier p/gcd(p, a) drawn as 1, -1 or something else."""
+    pivot multiplier p/gcd(p, a) drawn as 1, -1 or something else.  The
+    `unit` kind has the pivot entry 1, and the row and the pivot row's
+    other entries share a factor of 1, 2, 3 or 6, which the update keeps."""
     n = draw(st.integers(1, 9))
     row = draw(st.lists(INT_ENTRY, min_size=n, max_size=n))
     prow = draw(st.lists(INT_ENTRY, min_size=n, max_size=n))
     col = draw(st.integers(0, n - 1))
-    kind = draw(st.sampled_from(["one", "minus_one", "other"]))
+    kind = draw(st.sampled_from(["one", "minus_one", "other", "unit"]))
     k = draw(NONZERO)
     p = draw(st.integers(1, 7))
     if kind == "one":
         prow[col], row[col] = p, p * k
     elif kind == "minus_one":
         prow[col], row[col] = -p, -p * k
+    elif kind == "unit":
+        s = draw(st.sampled_from([1, 2, 3, 6]))
+        row = [s * x for x in row]
+        prow = [s * x for x in prow]
+        prow[col], row[col] = 1, s * k
     else:
         p += 1
         prow[col], row[col] = p, p * k + 1
     return kind, row, prow, col
 
 
+@st.composite
+def unit_pivot_matrices(draw):
+    """Matrices whose pivots are mostly 1: rows with a leading 1 and later
+    entries that are multiples of 6, and rows scaled by 2, 3 or 6, so that
+    the unit-pivot updates leave rows whose content is above 1."""
+    ncols = draw(st.integers(2, 10))
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        if draw(st.booleans()):
+            lead = draw(st.integers(0, ncols - 1))
+            rest = draw(st.lists(INT_ENTRY, min_size=ncols, max_size=ncols))
+            rows.append([0] * lead + [1] + [6 * x for x in rest[lead + 1:]])
+        else:
+            s = draw(st.sampled_from([2, 3, 6]))
+            rows.append([s * x for x in draw(st.lists(INT_ENTRY, min_size=ncols,
+                                                      max_size=ncols))])
+    return rows, ncols
+
+
 class TestKernelOracle:
     @ORACLE
+    @example(("unit", [2, 4], [1, 0], 0))
     @given(cross_cases())
     def test_cross_eliminate_matches_dense(self, case):
         # the update is in place on sparse rows: the row becomes the sparse
         # form of the dense result and stores no zero, and the pivot row is
-        # untouched
+        # untouched; a pivot entry of 1 leaves the row's content, so
+        # {0: 2, 1: 4} minus 2 * {0: 1} is {1: 4}
         kind, row, prow, col = case
         expected = dense_cross_eliminate(row, prow, col)
         g = gcd(prow[col], row[col])
-        assert {"one": 1, "minus_one": -1}.get(kind, prow[col]) == prow[col] // g
+        assert {"one": 1, "minus_one": -1, "unit": 1}.get(kind, prow[col]) == prow[col] // g
         row, prow = sparse(row), sparse(prow)
         prow_before = dict(prow)
         _cross_eliminate(row, prow, col)
@@ -477,6 +508,20 @@ class TestKernelOracle:
         assert res.rows == reduced + [zero] * (len(rows) - len(reduced))
         assert (res.pivot_columns, res.rank) == (pivots, len(pivots))
         assert rows == before
+
+    @ORACLE
+    @example(([[1, 6, 0], [2, 4, 6], [0, 3, 3]], 3))
+    @given(unit_pivot_matrices())
+    def test_unit_pivots_keep_the_rref(self, matrix):
+        # rows left with content by unit-pivot updates still give the
+        # reference's rank, pivot columns, kernel and RREF
+        rows, ncols = matrix
+        reduced, pivots = reference_rref(rows, ncols)
+        echelon = Echelon(columns_of(rows, ncols), len(rows))
+        assert echelon.rank == len(pivots)
+        assert echelon.pivot_columns == pivots
+        assert dense_kernel(echelon) == reference_kernel(rows, ncols)
+        assert rref(rows, ncols).rows[:len(pivots)] == reduced
 
     @ORACLE
     @example(([{0: F(1, 2), 2: 0}, {}, {0: 1, 2: F(0)}, {0: 3, 1: F(-2, 3)}], 4))

@@ -7,6 +7,7 @@ expansion (coin-counting DP) rather than against the enumerator itself.
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +83,29 @@ class TestRing:
         keys = [ring.sort_key(m) for m in monos]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+@st.composite
+def rings_and_degrees(draw):
+    """A ring of 1-5 variables with weights 1-4, and a degree 0-12."""
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return WeightedRing([f"x{i}" for i in range(n)], weights), draw(st.integers(0, 12))
+
+
+class TestEnumerationOracle:
+    # `monomials` builds its order directly; the reference sorts every
+    # exponent tuple of the degree by the order's key
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(rings_and_degrees())
+    def test_monomials_match_sorted_brute_force(self, case):
+        ring, d = case
+        box = product(*(range(d // w + 1) for w in ring.weights))
+        expected = sorted((m for m in box if ring.degree(m) == d), key=ring.sort_key)
+        got = ring.monomials(d)
+        assert type(got) is tuple
+        assert list(got) == expected
+        assert ring.monomials(d) is got
 
 
 @st.composite

@@ -213,6 +213,19 @@ class TestVectors:
         assert {basis[i]: c for i, c in column.items()} == {(0, 0, 3, 0): -1, (6, 0, 0, 0): -1}
         assert sorted(fresh._shift_cache) == [((0, 0, 0, 1), 0), ((0, 0, 0, 1), 3)]
 
+    def test_tables_share_basis_entries(self, ring):
+        # a product that is a basis monomial has the entry ((position, 1),),
+        # one object for every table that lands in its degree
+        fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3+x1^6", ring))
+        _, by_y = fresh._shift_table((0, 0, 1, 0), 4)
+        _, by_x1 = fresh._shift_table((1, 0, 0, 0), 5)
+        positions = fresh._positions(6)
+        target = (2, 0, 2, 0)
+        from_y = by_y[fresh.degree_basis(4).index((2, 0, 1, 0))]
+        from_x1 = by_x1[fresh.degree_basis(5).index((1, 0, 2, 0))]
+        assert from_y == ((positions[target], 1),)
+        assert from_y is from_x1
+
     def test_multiply_reduces(self, quotient, ring):
         z = ring.variable("z")
         prod = quotient.normal_form(z * z)
