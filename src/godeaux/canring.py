@@ -128,11 +128,12 @@ class Pipeline:
     The reference image, whose kernel gives the relations, prunes only by
     divisors of degree `_FIRST_RELATION_DEGREE` or more, where the relations
     span the kernel.  A relation multiple is its relation's coordinates
-    shifted by a monomial.  A membership or spanning check is the rank of
-    the descend vectors with the target or the pivot products, and a
-    base-locus certificate is the one kernel vector of the pivot products
-    with a pure power.  The reference generators, their presentation ring
-    and their product cache are built with the pipeline.
+    shifted by a monomial, read only at the monomials that are no pivot of
+    the reference image, the kernel's own coordinates.  A membership or
+    spanning check is the rank of the descend vectors with the target or the
+    pivot products, and a base-locus certificate is the one kernel vector of
+    the pivot products with a pure power.  The reference generators, their
+    presentation ring and their product cache are built with the pipeline.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -169,17 +170,23 @@ class Pipeline:
 
         return _ProductCache(elements, (0, {0: 1}), multiply)
 
-    def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
-               extra: Sequence[Column] = ()) -> tuple[list[Column], Echelon]:
+    @staticmethod
+    def _columns(cache: _ProductCache, monos: Sequence[Monomial], degree: int) -> list[Column]:
         """The products `monos` of `cache.elements` as coordinate columns in
-        degree `degree`, and the elimination of the matrix with those
-        columns followed by the `extra` ones."""
+        degree `degree`."""
         cols = []
         for beta in monos:
             d, column = cache.get(beta)
             if d != degree:
                 raise ValueError(f"degree mismatch: a product of degree {d}, not {degree}")
             cols.append(column)
+        return cols
+
+    def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
+               extra: Sequence[Column] = ()) -> tuple[list[Column], Echelon]:
+        """The `_columns` of `monos` and the elimination of the matrix with
+        those columns followed by the `extra` ones."""
+        cols = self._columns(cache, monos, degree)
         return cols, Echelon(cols + list(extra), len(self.quotient.degree_basis(degree)))
 
     # -- the descent condition ------------------------------------------
@@ -334,13 +341,23 @@ class Pipeline:
         [independent multiples | kernel vectors]: each is independent of the
         multiples and of the kernel vectors before it.
 
+        Every vector is read in the kernel's own coordinates: its entries at
+        the monomials that are no pivot of the reference image, in monomial
+        order.  The pivot products are independent, so a kernel vector that
+        is zero there is zero, and the reading is injective on the kernel,
+        whose dimension is the number of those monomials.  Ranks and pivot
+        columns are therefore those of the full coordinates, every
+        elimination has as many rows as the kernel's dimension, and the last
+        one of each degree has full row rank: no row is updated only to end
+        as zero.  A kernel basis vector reads as the unit vector at its free
+        column; the new relation itself is read off the kernel.
+
         Both eliminations take only `_candidates`.  A multiple gamma * r is
         kept when every (gamma - e_i) * r was a pivot multiple in its degree
         (gamma - e_i = 0 is r itself).  The kernel is that of the pruned
-        reference image, put back in full monomial positions; the multiples
-        span the pruned columns' kernel vectors, since the search starts at
-        `_FIRST_RELATION_DEGREE`, the floor below which the image prunes
-        nothing.
+        reference image; the multiples span the pruned columns' kernel
+        vectors, since the search starts at `_FIRST_RELATION_DEGREE`, the
+        floor below which the image prunes nothing.
         """
         if self._relations is not None:
             return self._relations
@@ -352,26 +369,31 @@ class Pipeline:
         for m in range(_FIRST_RELATION_DEGREE, self.max_degree + 1):
             cands, _, image = self._reference_image(m)
             del self._reference_images[m]
-            monos = tring.monomials(m)
-            position = {mono: i for i, mono in enumerate(monos)}
+            pivots = self._reference_pivots[m]
+            free = [mono for mono in tring.monomials(m) if mono not in pivots]
+            position = {mono: i for i, mono in enumerate(free)}
             pairs = [(r, gamma) for r, (_, rdeg) in enumerate(rels)
                      for gamma in _candidates(tring, m - rdeg, kept[r])]
-            # gamma * rpoly shifts each monomial of rpoly by gamma
-            multiples = [{position[tuple(map(add, gamma, mono))]: c
-                          for mono, c in rels[r][0].coeffs.items()} for r, gamma in pairs]
-            ideal = Echelon(multiples, len(monos))
+            # gamma * rpoly shifts each monomial of rpoly by gamma; the
+            # shifts onto pivot monomials are dropped
+            multiples = [{i: c for mono, c in rels[r][0].coeffs.items()
+                          if (i := position.get(tuple(map(add, gamma, mono)))) is not None}
+                         for r, gamma in pairs]
+            ideal = Echelon(multiples, len(free))
             for r, (_, rdeg) in enumerate(rels):
                 kept[r][m - rdeg] = set()
             for j in ideal.pivot_columns:
                 r, gamma = pairs[j]
                 kept[r][m - rels[r][1]].add(gamma)
             rank = ideal.rank
-            if rank < len(monos) - image.rank:
-                kernel = [{position[cands[i]]: c for i, c in v.items()} for v in image.kernel()]
-                joint = Echelon([multiples[j] for j in ideal.pivot_columns] + kernel,
-                                len(monos))
+            if rank < len(free):
+                # the kernel vector of a free candidate is 1 there and
+                # nonzero elsewhere only at pivot monomials
+                units = [{position[mono]: 1} for mono in cands if mono in position]
+                joint = Echelon([multiples[j] for j in ideal.pivot_columns] + units, len(free))
                 for j in joint.pivot_columns[rank:]:
-                    poly = Poly(tring, {monos[i]: c for i, c in kernel[j - rank].items()})
+                    kvec = image.kernel()[j - rank]
+                    poly = Poly(tring, {cands[i]: c for i, c in kvec.items()})
                     rels.append((poly.content_normalized(), m))
                     kept.append({})
                 rank = joint.rank
@@ -444,12 +466,16 @@ class Pipeline:
         gens = self.reference_generators.generators
         gammas = [gens[i][0] for i in inst.tricanonical_indices]
         gdeg = gens[inst.tricanonical_indices[0]][1]
-        cache = self._products(gammas)
         monos = zring.monomials(9)
-        nine = self._image(cache, monos, gdeg * 9)[1]
+        # the products of every lower degree are built on the way to the
+        # degree-9 columns and dropped before the elimination; the lower
+        # degrees build them again only when they are eliminated too
+        nine = Echelon(self._columns(self._products(gammas), monos, gdeg * 9),
+                       len(self.quotient.degree_basis(gdeg * 9)))
         dims = dict.fromkeys(range(1, 10), 0)
         dims[9] = nine.ncols - nine.rank
         if dims[9] != 1 or nvars == 1:
+            cache = self._products(gammas)
             for d in range(1, 9):
                 image = self._image(cache, zring.monomials(d), gdeg * d)[1]
                 dims[d] = image.ncols - image.rank
@@ -628,12 +654,14 @@ class Pipeline:
         Relations need the full degree horizon, so they are skipped when
         max_degree sits below 10.
         """
+        # the map checks build and drop their own products, so they run
+        # before the generator, reference-image and relation caches fill
+        tri = self.tricanonical()
+        four = self.fourcanonical()
         computed = self.minimal_generators()
         reference_report = self.verify_reference()
         rels = self.relations() if self.max_degree >= 10 else None
         hilbert = self.hilbert_consistency()
-        tri = self.tricanonical()
-        four = self.fourcanonical()
         base = {f"m{m}": self.base_locus(m) for m in (2, 3, 5)}
         doc = {
             "instance": self.instance.name,

@@ -60,9 +60,9 @@ def _check_lines(checks: Sequence[dict]) -> list[str]:
     return lines
 
 
-# the largest canring horizon accepted: the cost about doubles with each
-# degree past 12 (in-process, 2 cores, Python 3.11: 1.7 s at 14, 7 to 8.5 s
-# at 16), so a much larger one runs for minutes
+# the largest canring horizon accepted: the cost grows 1.3 to 2 times with
+# each degree past 12 (in-process, 2 cores, Python 3.11: 0.4 s at 14, 1.0
+# to 1.2 s at 16), so a much larger one runs for minutes
 MAX_DEGREE = 16
 
 

@@ -188,6 +188,69 @@ class TestRelations:
         for m in range(4, 12):
             assert got.ideal_ranks[m] == len(kernels[m])
 
+    def test_matches_unpruned(self):
+        # the relations and ideal ranks found over the non-pivot monomials
+        # are those of every multiple over every monomial, at the default
+        # horizon (`TestNonGenericReference` runs the oracle at 11)
+        fresh = Pipeline(load_instance(), max_degree=12)
+        relations, ranks, report = unpruned_presentation(fresh)
+        assert fresh.verify_reference() == report
+        got = fresh.relations()
+        assert [format_poly(p) for p, _ in got.relations] == relations
+        assert got.ideal_ranks == ranks
+
+    @staticmethod
+    def _prebuilt():
+        # the reference images, built before anything is recorded, so that
+        # only the eliminations of `relations` are seen
+        fresh = Pipeline(load_instance(), max_degree=12)
+        for m in range(4, 13):
+            fresh._reference_image(m)
+        return fresh
+
+    def test_no_dead_rows(self, monkeypatch):
+        # each elimination has one row per non-pivot monomial, as many as
+        # the kernel's dimension, so the last one of every degree (the ideal
+        # slice, or the joint one where new relations appear) has full row
+        # rank: no row is updated only to end as zero
+        fresh = self._prebuilt()
+        seen = []
+
+        class Recorded(Echelon):
+            def __init__(self, columns, nrows):
+                super().__init__(columns, nrows)
+                seen.append((nrows, self))
+
+        monkeypatch.setattr(canring, "Echelon", Recorded)
+        rels = fresh.relations()
+        for m in range(4, 13):
+            # the ideal slice, then the joint elimination where new
+            # relations appear
+            count = 2 if m in RELATION_COUNTS else 1
+            group, seen = seen[:count], seen[count:]
+            dim = len(fresh.presentation_ring.monomials(m)) - len(fresh._reference_pivots[m])
+            assert [nrows for nrows, _ in group] == [dim] * count, m
+            assert group[-1][1].rank == dim == rels.ideal_ranks[m], m
+        assert seen == []
+
+    def test_elimination_work_guard(self, monkeypatch):
+        # the row updates of one relation search at horizon 12, past the
+        # reference images: 15164 over every monomial, 2844 over the
+        # non-pivot ones, and it must not rise.  An update that bypasses
+        # `_cross_eliminate` would count 0 and pass vacuously.
+        fresh = self._prebuilt()
+        calls = 0
+        update = linalg._cross_eliminate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return update(*args)
+
+        monkeypatch.setattr(linalg, "_cross_eliminate", counted)
+        assert len(fresh.relations().relations) == 54
+        assert 0 < calls <= 2844
+
 
 def full_generators(pipe):
     """Oracle for `Pipeline.minimal_generators`: the greedy complement with

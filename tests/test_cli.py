@@ -63,6 +63,13 @@ class TestCanring:
         assert code == 0
         assert out.encode() == (GOLDEN / "canring-max-degree-13.json").read_bytes()
 
+    def test_horizon_fourteen_matches_golden(self, capsys):
+        # reading the relation multiples over the non-pivot monomials saves
+        # the most row updates at horizon 14
+        code, out, _ = run_cli(capsys, "canring", "--max-degree", "14", "--format", "structured")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "canring-max-degree-14.json").read_bytes()
+
     def test_horizon_below_generators_skips(self, capsys):
         # the degree-5 generators lie above horizon 4, so neither the
         # generator profile nor the codimension can be decided there
