@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import add, mul
+from operator import add
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
 from .linalg import Column, Echelon
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
+from .quotient import HypersurfaceRing
 
 
 # `relations` searches from this degree on.  A dependency among the
@@ -31,12 +32,13 @@ def _candidates(ring: WeightedRing, m: int, pivots: dict[int, set[Monomial]]) ->
     one-variable divisors beta - e_i lies in `pivots[m - w_i]`, where that
     degree is recorded.
 
-    The candidates of a greedy pivot choice over products in a term order:
-    a divisor beta - e_i that is no pivot is a combination of earlier
-    products of its degree, so beta is the same combination of their e_i
-    multiples, which come before beta.  Such a beta is never a pivot and is
-    left out; the pivots (the standard monomials) form an order ideal, so
-    the ranks and pivot products are those of all degree-m monomials.
+    The candidates of a greedy pivot choice over products in a term order
+    (`_Products.eliminate`, and `relations`' multiples of one relation): a
+    divisor beta - e_i that is no pivot is a combination of earlier products
+    of its degree, so beta is the same combination of their e_i multiples,
+    which come before beta.  Such a beta is never a pivot and is left out;
+    the pivots (the standard monomials) form an order ideal, so the ranks
+    and pivot products are those of all degree-m monomials.
     """
     weights = ring.weights
     out = []
@@ -51,33 +53,75 @@ def _candidates(ring: WeightedRing, m: int, pivots: dict[int, set[Monomial]]) ->
     return out
 
 
-def _strip(beta: Sequence[int]) -> tuple[int, ...]:
-    """Drop trailing zeros so cache keys survive appending new generators."""
-    out = list(beta)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+class _Products:
+    """The monomial products of a growable list of homogeneous elements of
+    S/f, as coordinate columns, and their eliminations degree by degree.
 
+    A product is an exponent over `ring`, whose variables T1, T2, ... have
+    the elements' degrees.  Each column is the coordinates of the product's
+    normal form over the monomial basis of its degree, built once from a
+    cached product by one `HypersurfaceRing.times`; the cache keys drop
+    trailing zeros, so they survive `extend`.  From degree `floor` on,
+    `eliminate` records the pivot products of each degree it eliminates,
+    and later degrees eliminate only their `_candidates`.
+    """
 
-class _ProductCache:
-    """Monomial products of a fixed (growable) element list, each product
-    built from a cached one and one element by a single call of `multiply`
-    (plain multiplication, or `Pipeline._products`' product in S/f of a
-    (degree, coordinate column) pair and an element)."""
+    def __init__(self, quotient: HypersurfaceRing, elements: Sequence[Poly], floor: int = 0):
+        self.quotient = quotient
+        self.floor = floor
+        self.elements: list[Poly] = []
+        self.ring = WeightedRing((), ())
+        # pivot products per eliminated degree from the floor on
+        self.pivots: dict[int, set[Monomial]] = {}
+        self._cache: dict[Monomial, Column] = {(): {0: 1}}
+        self.extend(elements)
 
-    def __init__(self, elements: list, one, multiply=mul):
-        self.elements = elements
-        self.multiply = multiply
-        self.cache: dict[tuple[int, ...], object] = {(): one}
+    def extend(self, elements: Sequence[Poly]) -> None:
+        """Append `elements`.  Every recorded pivot gains a zero exponent per
+        new element, and a new element of an eliminated degree is a pivot
+        there: it was chosen as independent of that degree's products."""
+        if not elements:
+            return
+        pad = (0,) * len(elements)
+        self.pivots = {d: {beta + pad for beta in betas} for d, betas in self.pivots.items()}
+        self.elements += elements
+        weights = self.ring.weights + tuple(e.homogeneous_degree() for e in elements)
+        self.ring = WeightedRing([f"T{i + 1}" for i in range(len(weights))], weights)
+        for i in range(len(weights) - len(elements), len(weights)):
+            if weights[i] in self.pivots:
+                self.pivots[weights[i]].add(tuple(int(j == i) for j in range(len(weights))))
 
-    def get(self, beta: Sequence[int]):
-        key = _strip(beta)
-        got = self.cache.get(key)
+    def column(self, beta: Sequence[int]) -> Column:
+        """The coordinate column of the product with exponent `beta`."""
+        i = len(beta)
+        while i and not beta[i - 1]:
+            i -= 1
+        key = tuple(beta[:i])
+        got = self._cache.get(key)
         if got is None:
-            i = len(key) - 1
-            got = self.multiply(self.get(key[:i] + (key[i] - 1,)), self.elements[i])
-            self.cache[key] = got
+            lower = key[:i - 1] + (key[i - 1] - 1,)
+            got = self._cache[key] = self.quotient.times(
+                self.column(lower), self.ring.degree(lower), self.elements[i - 1])
         return got
+
+    def columns(self, monos: Sequence[Monomial], degree: int) -> list[Column]:
+        """The columns of the products `monos`, each of degree `degree`."""
+        for beta in monos:
+            d = self.ring.degree(beta)
+            if d != degree:
+                raise ValueError(f"degree mismatch: a product of degree {d}, not {degree}")
+        return [self.column(beta) for beta in monos]
+
+    def eliminate(self, m: int, extra: Sequence[Column] = ()
+                  ) -> tuple[list[Monomial], list[Column], Echelon]:
+        """The degree-m `_candidates`, their columns, and the elimination of
+        those columns followed by the `extra` ones."""
+        cands = _candidates(self.ring, m, self.pivots)
+        cols = self.columns(cands, m)
+        image = Echelon(cols + list(extra), len(self.quotient.degree_basis(m)))
+        if m >= self.floor:
+            self.pivots[m] = {cands[j] for j in image.pivot_columns if j < len(cols)}
+        return cands, cols, image
 
 
 @dataclass
@@ -114,26 +158,23 @@ class Pipeline:
 
     Every vector is a sparse {position: entry} mapping, and every matrix is
     eliminated by one `Echelon` and read off it.  Each descent space is
-    read off one kernel (`descend_space`).  Monomial products of an element
-    list are built once each by a `_ProductCache`: the residues of the
-    ambient variables for the descent, and generator lists in S/f for
-    everything else, each product a degree and the coordinates of its
-    normal form, made from a cached product by `HypersurfaceRing.times`.
-    Every product matrix is built and eliminated once by `_image`, its
-    columns read straight from the cache, and its `Echelon` gives the rank,
-    the pivot columns (new generators) and the kernel (relations, the
-    tricanonical form).  The generators, the reference image, the relation
-    multiples and the quartic spans eliminate only `_candidates`: the
-    products whose every one-variable divisor was a pivot of its own degree.
-    The reference image, whose kernel gives the relations, prunes only by
-    divisors of degree `_FIRST_RELATION_DEGREE` or more, where the relations
-    span the kernel.  A relation multiple is its relation's coordinates
-    shifted by a monomial, read only at the monomials that are no pivot of
-    the reference image, the kernel's own coordinates.  A membership or
-    spanning check is the rank of the descend vectors with the target or the
-    pivot products, and a base-locus certificate is the one kernel vector of
-    the pivot products with a pure power.  The reference generators, their
-    presentation ring and their product cache are built with the pipeline.
+    read off one kernel (`descend_space`), over the residues of the basis
+    monomials, each a memoised residue times one residue image.  Every
+    product of elements of S/f (the generators, the reference generators,
+    the quartics, the tricanonical gammas, the base-locus ideal) is a column
+    of a `_Products`, and its `eliminate` gives the rank, the pivot columns
+    (new generators) and the kernel (relations, the tricanonical form) of
+    only the `_candidates`: the products whose every one-variable divisor
+    was a pivot of its own degree.  The reference image, whose kernel gives
+    the relations, prunes only from `_FIRST_RELATION_DEGREE` on, where the
+    relations span the kernel.  A relation multiple is its relation's
+    coordinates shifted by a monomial, read only at the monomials that are
+    no pivot of the reference image, the kernel's own coordinates.  A
+    membership or spanning check is the rank of the descend vectors with the
+    target or the pivot products, and a base-locus certificate is the one
+    kernel vector of the pivot products with a pure power.  The reference
+    generators' products, whose ring is the presentation ring, are set up
+    with the pipeline.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -143,51 +184,23 @@ class Pipeline:
         self.ring = instance.ring
         self._descend: dict[int, list[Column]] = {}
         self._descend_polys: dict[int, list[Poly]] = {}
-        self._residues = _ProductCache(instance.residue.images, instance.curve.one())
+        self._residues = {(0,) * self.ring.n: instance.curve.one()}
         self._computed: Optional[GeneratorSet] = None
         self.reference_generators = GeneratorSet(list(instance.reference_generators))
-        degrees = self.reference_generators.degrees()
-        self.presentation_ring = WeightedRing([f"T{i + 1}" for i in range(len(degrees))],
-                                              degrees)
-        self._reference_products = self._products(self.reference_generators.polynomials())
+        self._reference = _Products(self.quotient, self.reference_generators.polynomials(),
+                                    _FIRST_RELATION_DEGREE)
+        self.presentation_ring = self._reference.ring
         self._reference_images: dict[int, tuple[list[Monomial], list[Column], Echelon]] = {}
-        # pivot monomials of the reference image, per degree from the floor on
-        self._reference_pivots: dict[int, set[Monomial]] = {}
         self._relations: Optional[RelationSet] = None
 
-    def _products(self, elements: list[Poly]) -> _ProductCache:
-        """Products of `elements` in S/f, each a (degree, column) pair: the
-        coordinates of its normal form over the degree's monomial basis."""
-        times = self.quotient.times
-        degree = self.ring.degree
-
-        def multiply(product: tuple[int, Column], element: Poly) -> tuple[int, Column]:
-            d, column = product
-            # `times` refuses a zero or inhomogeneous element, so any term
-            # gives the element's degree
-            column = times(column, d, element)
-            return d + degree(next(iter(element.coeffs))), column
-
-        return _ProductCache(elements, (0, {0: 1}), multiply)
-
-    @staticmethod
-    def _columns(cache: _ProductCache, monos: Sequence[Monomial], degree: int) -> list[Column]:
-        """The products `monos` of `cache.elements` as coordinate columns in
-        degree `degree`."""
-        cols = []
-        for beta in monos:
-            d, column = cache.get(beta)
-            if d != degree:
-                raise ValueError(f"degree mismatch: a product of degree {d}, not {degree}")
-            cols.append(column)
-        return cols
-
-    def _image(self, cache: _ProductCache, monos: Sequence[Monomial], degree: int,
-               extra: Sequence[Column] = ()) -> tuple[list[Column], Echelon]:
-        """The `_columns` of `monos` and the elimination of the matrix with
-        those columns followed by the `extra` ones."""
-        cols = self._columns(cache, monos, degree)
-        return cols, Echelon(cols + list(extra), len(self.quotient.degree_basis(degree)))
+    def _residue(self, mono: Monomial):
+        """The residue of the ambient monomial `mono` in the curve ring."""
+        got = self._residues.get(mono)
+        if got is None:
+            i = max(j for j, e in enumerate(mono) if e)
+            lower = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            got = self._residues[mono] = self._residue(lower) * self.instance.residue.images[i]
+        return got
 
     # -- the descent condition ------------------------------------------
 
@@ -209,7 +222,7 @@ class Pipeline:
         if cached is not None:
             return cached
         taus = self.instance.tau.basis_vectors(m)
-        cols = taus + [self._residues.get(mono).coordinate_vector(m)
+        cols = taus + [self._residue(mono).coordinate_vector(m)
                        for mono in reversed(self.quotient.degree_basis(m))]
         # kernel column j >= k is basis position top - j
         k = len(taus)
@@ -244,39 +257,20 @@ class Pipeline:
         generators of degree m are the descend vectors whose columns are
         pivots of [products | descend vectors].
 
-        The products are the `_candidates`, and the standard set of a degree
-        is its pivot products and its new generators: a product with any
+        The products are the `_candidates` of the generators so far, and
+        each new generator is a pivot of its degree: a product with any
         other divisor lies in the span of earlier products."""
         if self._computed is not None:
             return self._computed
         self.precompute_descend()
-        gens: list[tuple[Poly, int]] = []
-        cache = self._products([])
-        standard: dict[int, set[Monomial]] = {}
+        space = _Products(self.quotient, [])
         for m in range(2, self.max_degree + 1):
             vectors = self.descend_space(m)
-            if not vectors:
-                continue
-            monos: Sequence[Monomial] = ()
-            if gens:
-                # every generator so far has degree below m, so each degree-m
-                # monomial in them is a product of at least two
-                monos = _candidates(WeightedRing([f"g{i}" for i in range(len(gens))],
-                                                 [d for _, d in gens]), m, standard)
-            cols, image = self._image(cache, monos, m, vectors)
-            new = [self.descend_polys(m)[j - len(cols)]
-                   for j in image.pivot_columns if j >= len(cols)]
-            pad = (0,) * len(new)
-            if new:
-                # every monomial gains a zero exponent per new generator
-                standard = {d: {beta + pad for beta in betas} for d, betas in standard.items()}
-            standard[m] = {monos[j] + pad for j in image.pivot_columns if j < len(cols)}
-            total = len(gens) + len(new)
-            standard[m].update(tuple(int(i == g) for i in range(total))
-                               for g in range(len(gens), total))
-            gens += [(poly, m) for poly in new]
-            cache.elements.extend(new)
-        self._computed = GeneratorSet(gens)
+            if vectors:
+                _, cols, image = space.eliminate(m, vectors)
+                space.extend([self.descend_polys(m)[j - len(cols)]
+                              for j in image.pivot_columns if j >= len(cols)])
+        self._computed = GeneratorSet(list(zip(space.elements, space.ring.weights)))
         return self._computed
 
     def _reference_image(self, m: int) -> tuple[list[Monomial], list[Column], Echelon]:
@@ -289,11 +283,7 @@ class Pipeline:
         kept, and `relations` releases it once it has read the kernel."""
         got = self._reference_images.get(m)
         if got is None:
-            monos = _candidates(self.presentation_ring, m, self._reference_pivots)
-            cols, image = self._image(self._reference_products, monos, m)
-            if m >= _FIRST_RELATION_DEGREE:
-                self._reference_pivots[m] = {monos[j] for j in image.pivot_columns}
-            got = (monos, cols, image)
+            got = self._reference.eliminate(m)
             if self._relations is None:
                 self._reference_images[m] = got
         return got
@@ -369,7 +359,7 @@ class Pipeline:
         for m in range(_FIRST_RELATION_DEGREE, self.max_degree + 1):
             cands, _, image = self._reference_image(m)
             del self._reference_images[m]
-            pivots = self._reference_pivots[m]
+            pivots = self._reference.pivots[m]
             free = [mono for mono in tring.monomials(m) if mono not in pivots]
             position = {mono: i for i, mono in enumerate(free)}
             pairs = [(r, gamma) for r, (_, rdeg) in enumerate(rels)
@@ -400,17 +390,6 @@ class Pipeline:
             ideal_ranks[m] = rank
         self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
         return self._relations
-
-    def relation_defects(self) -> list[int]:
-        """Indices of relations that fail the independent substitution check."""
-        rels = self.relations()
-        gens = self.reference_generators.polynomials()
-        bad = []
-        for i, (rpoly, _) in enumerate(rels.relations):
-            value = evaluate(rpoly, gens, self.ring.zero(), self.ring.one())
-            if not self.quotient.normal_form(value).is_zero:
-                bad.append(i)
-        return bad
 
     # -- Hilbert consistency --------------------------------------------
 
@@ -458,7 +437,8 @@ class Pipeline:
         of variables in general).  Hence with two or more variables dim I_9
         = 1 forces I_d = 0 for every d < 9, and only degree 9 is eliminated;
         otherwise degrees 1 to 8 are eliminated too, so a FAIL report
-        carries their computed kernel dimensions.
+        carries their computed kernel dimensions: each is the number of
+        monomials less the rank of their `_candidates` products.
         """
         inst = self.instance
         zring = inst.tricanonical_ring
@@ -470,15 +450,14 @@ class Pipeline:
         # the products of every lower degree are built on the way to the
         # degree-9 columns and dropped before the elimination; the lower
         # degrees build them again only when they are eliminated too
-        nine = Echelon(self._columns(self._products(gammas), monos, gdeg * 9),
+        nine = Echelon(_Products(self.quotient, gammas).columns(monos, gdeg * 9),
                        len(self.quotient.degree_basis(gdeg * 9)))
         dims = dict.fromkeys(range(1, 10), 0)
         dims[9] = nine.ncols - nine.rank
         if dims[9] != 1 or nvars == 1:
-            cache = self._products(gammas)
+            space = _Products(self.quotient, gammas)
             for d in range(1, 9):
-                image = self._image(cache, zring.monomials(d), gdeg * d)[1]
-                dims[d] = image.ncols - image.rank
+                dims[d] = len(zring.monomials(d)) - space.eliminate(gdeg * d)[2].rank
         report: dict = {"kernel_dimensions": dims,
                         "lower_degrees_injective": all(dims[d] == 0 for d in range(1, 9)),
                         "kernel_dimension_nine": dims[9]}
@@ -526,25 +505,18 @@ class Pipeline:
         agrees with its Hilbert polynomial, which may be later than d_max; on
         the shipped instance that is from d = 6 on.
 
-        V_d = R_4 * V_{d-1}, and degree d eliminates only the `_candidates`
-        candidates: the monomials beta whose every divisor beta - e_i is a
-        pivot of degree d - 1, not every monomial of degree d in the quartics.
+        V_d = R_4 * V_{d-1}, and degree d eliminates only the `_candidates`:
+        the monomials beta whose every divisor beta - e_i is a pivot of
+        degree d - 1, not every monomial of degree d in the quartics.
         """
         if d_max < 4:
             raise ValueError("d_max must be at least 4")
-        cache = self._products(self.descend_polys(4))
-        n = len(cache.elements)
-        qring = WeightedRing([f"q{i}" for i in range(n)], [1] * n)
-        pivots: dict[int, set[Monomial]] = {}
+        space = _Products(self.quotient, self.descend_polys(4))
         h = {0: 1}
         for d in range(1, d_max + 1):
-            monos = _candidates(qring, d, pivots)
-            # keep only the pivot monomials, so this degree's rows are freed
-            columns = self._image(cache, monos, 4 * d)[1].pivot_columns
-            h[d] = len(columns)
-            pivots[d] = {monos[j] for j in columns}
+            h[d] = space.eliminate(4 * d)[2].rank
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
-        return {"h": h, "second_differences": second, "quartic_count": n}
+        return {"h": h, "second_differences": second, "quartic_count": len(space.elements)}
 
     # -- base locus ------------------------------------------------------
 
@@ -606,7 +578,7 @@ class Pipeline:
         quotient = self.quotient
         # products of a basis monomial and a generator, as monomials in the
         # ambient variables followed by the generators
-        cache = self._products([self.ring.variable(i) for i in range(n)] + gens)
+        space = _Products(quotient, [self.ring.variable(i) for i in range(n)] + gens)
         found: dict[int, tuple] = {}
         remaining = set(targets)
         for d in range(m, bound + 1):
@@ -619,17 +591,17 @@ class Pipeline:
                         for bmono in quotient.degree_basis(d - m)]
             monos = [bmono + tuple(int(j == gi) for j in range(len(gens)))
                      for bmono, gi in products]
-            cols, image = self._image(cache, monos, d)
+            width = len(quotient.degree_basis(d))
+            cols = space.columns(monos, d)
             # the pivot columns are independent and span every product, so
             # [pivot columns | target] has a kernel vector iff the target lies
             # in the span, and then one, whose entries at the pivot columns
             # are minus the canonical combination (free coefficients zero)
-            pivots = image.pivot_columns
-            width = len(quotient.degree_basis(d))
+            pivots = Echelon(cols, width).pivot_columns
             for i in checkable:
                 k = d // weights[i]
-                # the variables are the cache's first n elements
-                target = cache.get(tuple(k if j == i else 0 for j in range(n)))[1]
+                # the variables are the first n elements
+                target = space.column(tuple(k if j == i else 0 for j in range(n)))
                 solve = Echelon([cols[j] for j in pivots] + [target], width)
                 if solve.rank > len(pivots):
                     continue

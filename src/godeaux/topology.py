@@ -108,10 +108,6 @@ class ChainComplexZ:
                 raise FieldError(f"boundaries.{k}",
                                  "its composite with the next boundary map is not zero")
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.ranks) - 1
-
 
 def homology(c: ChainComplexZ) -> list[AbelianGroup]:
     """Homology in every degree, torsion ordered by divisibility.
@@ -252,17 +248,6 @@ def exponent_matrix(g: GroupPresentation) -> MatrixZ:
 def abelianization(g: GroupPresentation) -> AbelianGroup:
     n = len(g.generators)
     return _quotient(n, _factors(exponent_matrix(g), n))
-
-
-def presentation_complex(g: GroupPresentation) -> ChainComplexZ:
-    """Chain complex of the two-complex with one vertex, a loop per
-    generator and a disk per relator."""
-    n = len(g.generators)
-    k = len(g.relators)
-    d1 = [[0] * n]
-    cols = exponent_matrix(g)
-    d2 = [[cols[j][i] for j in range(k)] for i in range(n)]
-    return ChainComplexZ([1, n, k], [d1, d2])
 
 
 # -- Tietze simplification ----------------------------------------------

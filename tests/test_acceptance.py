@@ -43,6 +43,15 @@ def pipe():
     return Pipeline(load_instance(), max_degree=12)
 
 
+def _relation_defects(pipe):
+    """Indices of relations that fail the independent substitution check:
+    evaluated at the reference generators, the relation is not zero mod f."""
+    gens = pipe.reference_generators.polynomials()
+    return [i for i, (rpoly, _) in enumerate(pipe.relations().relations)
+            if not pipe.quotient.normal_form(
+                evaluate(rpoly, gens, pipe.ring.zero(), pipe.ring.one())).is_zero]
+
+
 def test_criterion_01_generator_profile(pipe):
     degrees = pipe.minimal_generators().degrees()
     report = pipe.verify_reference()
@@ -62,7 +71,7 @@ def test_criterion_02_relation_profile(pipe):
     ok = (
         len(rels.degrees()) == 54
         and rels.counts() == RELATION_COUNTS
-        and pipe.relation_defects() == []
+        and _relation_defects(pipe) == []
     )
     _criterion(2, "exactly 54 minimal relations with degree profile "
                   "(6^6, 7^12, 8^18, 9^12, 10^6), each reducing to zero", ok)

@@ -124,25 +124,38 @@ class TestGenerators:
 
 class TestProducts:
     def test_columns_are_normal_form_coordinates(self, pipe):
-        # each cached product is the degree and the coordinates of the normal
-        # form of the substituted monomial
-        qring, cache = _quartic_products(pipe)
-        quartics = cache.elements
+        # each product's column is the coordinates of the normal form of the
+        # substituted monomial, in the degree its exponent gives
+        space = _quartic_products(pipe)
         quotient = pipe.quotient
         for d in range(3):
-            for beta in qring.monomials(d):
-                value = evaluate(Poly(qring, {beta: 1}), quartics, pipe.ring.zero(),
+            for beta in space.ring.monomials(4 * d):
+                value = evaluate(Poly(space.ring, {beta: 1}), space.elements, pipe.ring.zero(),
                                  pipe.ring.one())
                 expected = quotient.sparse_coordinates(quotient.normal_form(value), 4 * d)
-                assert cache.get(beta) == (4 * d, expected)
+                assert space.columns([beta], 4 * d) == [expected]
 
-    def test_image_refuses_a_degree_its_products_lack(self, pipe):
-        qring, cache = _quartic_products(pipe)
+    def test_columns_refuse_a_degree_their_products_lack(self, pipe):
+        space = _quartic_products(pipe)
         with pytest.raises(ValueError, match="degree mismatch"):
-            pipe._image(cache, qring.monomials(2), 7)
+            space.columns(space.ring.monomials(8), 7)
         # a mixed list is refused too, not read at the first entry's degree
         with pytest.raises(ValueError, match="degree mismatch"):
-            pipe._image(cache, list(qring.monomials(2)) + list(qring.monomials(1)), 8)
+            space.columns(list(space.ring.monomials(8)) + list(space.ring.monomials(4)), 8)
+
+    def test_extend_pads_pivots_and_records_new_elements(self, pipe):
+        # after `extend` every recorded pivot has a zero exponent per new
+        # element, and a new element of an eliminated degree is a pivot
+        # there; a degree never eliminated gains no pivot set
+        space = canring._Products(pipe.quotient, pipe.descend_polys(2))
+        space.eliminate(2)
+        space.eliminate(4)
+        before = {d: set(betas) for d, betas in space.pivots.items()}
+        assert set(before) == {2, 4} and before[4]
+        space.extend([pipe.descend_polys(4)[0], pipe.descend_polys(3)[0]])
+        assert space.ring.weights == (2, 2, 4, 3)
+        assert space.pivots == {2: {beta + (0, 0) for beta in before[2]},
+                                4: {beta + (0, 0) for beta in before[4]} | {(0, 0, 1, 0)}}
 
 
 class TestRelations:
@@ -156,7 +169,7 @@ class TestRelations:
         assert "T5*T6-T2^3" in formatted
 
     def test_no_defects(self, pipe):
-        assert pipe.relation_defects() == []
+        assert relation_defects(pipe) == []
 
     def test_horizon_recorded(self, pipe):
         assert pipe.relations().horizon == 12
@@ -167,8 +180,7 @@ class TestRelations:
         short = Pipeline(load_instance(), max_degree=11)
         tring = short.presentation_ring
         # the kernels of every monomial's product, not of the pruned image
-        kernels = {m: short._image(short._reference_products, tring.monomials(m), m)[1].kernel()
-                   for m in range(4, 12)}
+        kernels = {m: full_image(short._reference, m)[1].kernel() for m in range(4, 12)}
         rels, ranks = [], {}
         for m in range(4, 12):
             monos = tring.monomials(m)
@@ -228,7 +240,7 @@ class TestRelations:
             # relations appear
             count = 2 if m in RELATION_COUNTS else 1
             group, seen = seen[:count], seen[count:]
-            dim = len(fresh.presentation_ring.monomials(m)) - len(fresh._reference_pivots[m])
+            dim = len(fresh.presentation_ring.monomials(m)) - len(fresh._reference.pivots[m])
             assert [nrows for nrows, _ in group] == [dim] * count, m
             assert group[-1][1].rank == dim == rels.ideal_ranks[m], m
         assert seen == []
@@ -252,26 +264,35 @@ class TestRelations:
         assert 0 < calls <= 2844
 
 
+def relation_defects(pipe):
+    """Indices of relations that fail the independent substitution check:
+    the relation, evaluated at the reference generators, is not zero mod f."""
+    gens = pipe.reference_generators.polynomials()
+    return [i for i, (rpoly, _) in enumerate(pipe.relations().relations)
+            if not pipe.quotient.normal_form(
+                evaluate(rpoly, gens, pipe.ring.zero(), pipe.ring.one())).is_zero]
+
+
+def full_image(space, m, extra=()):
+    """Oracle for `_Products.eliminate`: the columns of every degree-m
+    product, no candidate pruning, and their elimination followed by the
+    `extra` columns."""
+    cols = space.columns(space.ring.monomials(m), m)
+    return cols, Echelon(cols + list(extra), len(space.quotient.degree_basis(m)))
+
+
 def full_generators(pipe):
     """Oracle for `Pipeline.minimal_generators`: the greedy complement with
     every degree-m monomial in the generators so far as a column, no
     candidate pruning."""
-    gens = []
-    cache = pipe._products([])
+    space = canring._Products(pipe.quotient, [])
     for m in range(2, pipe.max_degree + 1):
         vectors = pipe.descend_space(m)
-        if not vectors:
-            continue
-        monos = ()
-        if gens:
-            monos = WeightedRing([f"g{i}" for i in range(len(gens))],
-                                 [d for _, d in gens]).monomials(m)
-        cols, image = pipe._image(cache, monos, m, vectors)
-        for j in image.pivot_columns:
-            if j >= len(cols):
-                gens.append((pipe.descend_polys(m)[j - len(cols)], m))
-                cache.elements.append(gens[-1][0])
-    return gens
+        if vectors:
+            cols, image = full_image(space, m, vectors)
+            space.extend([pipe.descend_polys(m)[j - len(cols)]
+                          for j in image.pivot_columns if j >= len(cols)])
+    return list(zip(space.elements, space.ring.weights))
 
 
 def unpruned_presentation(pipe):
@@ -281,8 +302,7 @@ def unpruned_presentation(pipe):
     reference report."""
     tring = pipe.presentation_ring
     quotient = pipe.quotient
-    images = {m: pipe._image(pipe._reference_products, tring.monomials(m), m)
-              for m in range(2, pipe.max_degree + 1)}
+    images = {m: full_image(pipe._reference, m) for m in range(2, pipe.max_degree + 1)}
 
     def within(d, extra):
         descend = pipe.descend_space(d)
@@ -336,7 +356,7 @@ class TestOrderIdealPruning:
         for m in range(2, 14):
             cands, _, image = deep._reference_image(m)
             monos = tring.monomials(m)
-            full = deep._image(deep._reference_products, monos, m)[1]
+            full = full_image(deep._reference, m)[1]
             assert image.rank == full.rank, m
             assert ([cands[j] for j in image.pivot_columns]
                     == [monos[j] for j in full.pivot_columns]), m
@@ -351,20 +371,21 @@ class TestOrderIdealPruning:
         # degree d - 1, the products of any pivot divisor
         fresh = Pipeline(load_instance())
         seen = {}
-        image_of = fresh._image
+        eliminate = canring._Products.eliminate
 
-        def recording(cache, monos, degree, extra=()):
-            got = image_of(cache, monos, degree, extra)
-            seen[degree // 4] = [monos[j] for j in got[1].pivot_columns]
+        def recording(space, m, extra=()):
+            got = eliminate(space, m, extra)
+            seen[m // 4] = [got[0][j] for j in got[2].pivot_columns]
             return got
 
-        monkeypatch.setattr(fresh, "_image", recording)
+        monkeypatch.setattr(canring._Products, "eliminate", recording)
         fresh.fourcanonical(d_max=6)
         monkeypatch.undo()
-        qring, cache = _quartic_products(fresh)
-        monos = list(qring.monomials(1))
+        space = _quartic_products(fresh)
+        qring = space.ring
+        monos = list(qring.monomials(4))
         for d in range(1, 7):
-            image = fresh._image(cache, monos, 4 * d)[1]
+            image = Echelon(space.columns(monos, 4 * d), len(fresh.quotient.degree_basis(4 * d)))
             pivots = [monos[j] for j in image.pivot_columns]
             assert seen[d] == pivots, d
             grown = {tuple(e + (j == i) for j, e in enumerate(beta))
@@ -423,23 +444,36 @@ class TestTricanonical:
 
     def test_lower_degrees_injective_directly(self, pipe):
         # oracle for the degree-9 shortcut: eliminate degrees 1 to 8
-        inst = pipe.instance
-        gens = pipe.reference_generators.generators
-        cache = pipe._products([gens[i][0] for i in inst.tricanonical_indices])
-        gdeg = gens[inst.tricanonical_indices[0]][1]
-        for d in range(1, 9):
-            image = pipe._image(cache, inst.tricanonical_ring.monomials(d), gdeg * d)[1]
-            assert image.ncols - image.rank == 0, d
+        assert all(dim == 0 for d, dim in all_monomial_kernels(pipe).items() if d < 9)
 
     def test_repeated_generator_reports_lower_kernels(self):
-        # z0 - z1 lies in I_1, so dim I_9 > 1 and degrees 1 to 8 are computed
+        # z0 - z1 lies in I_1, so dim I_9 > 1 and degrees 1 to 8 are
+        # computed, over the pruned candidates: every kernel dimension is
+        # that of every monomial's product
         instance = load_instance()
         instance.tricanonical_indices = [2, 2, 3, 4]
-        report = Pipeline(instance).tricanonical()
+        fresh = Pipeline(instance)
+        report = fresh.tricanonical()
         assert report["kernel_dimension_nine"] > 1
         assert report["kernel_dimensions"][1] >= 1
+        assert report["kernel_dimensions"] == all_monomial_kernels(fresh)
         assert not report["lower_degrees_injective"]
         assert report["status"] == "FAIL"
+
+
+def all_monomial_kernels(pipe):
+    """Oracle for the tricanonical kernel dimensions: in each degree 1 to 9
+    the nullity of the products of every monomial in the gammas."""
+    inst = pipe.instance
+    gens = pipe.reference_generators.generators
+    space = canring._Products(pipe.quotient, [gens[i][0] for i in inst.tricanonical_indices])
+    gdeg = gens[inst.tricanonical_indices[0]][1]
+    out = {}
+    for d in range(1, 10):
+        image = Echelon(space.columns(inst.tricanonical_ring.monomials(d), gdeg * d),
+                        len(pipe.quotient.degree_basis(gdeg * d)))
+        out[d] = image.ncols - image.rank
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -475,8 +509,8 @@ class TestFourcanonical:
         # pivot rows took the count from 4529 to 3675, and it must not rise.
         # The count must also be real: an update that bypasses
         # `_cross_eliminate` would count 0 and pass vacuously.
-        qring, cache = _quartic_products(pipe)
-        cols = [cache.get(beta)[1] for beta in qring.monomials(5)]
+        space = _quartic_products(pipe)
+        cols = space.columns(space.ring.monomials(20), 20)
         calls = 0
         update = linalg._cross_eliminate
 
@@ -498,18 +532,18 @@ class TestFourcanonical:
         def bits(echelon):
             return max(abs(x).bit_length() for _, row in echelon._pivots for x in row.values())
 
-        qring, cache = _quartic_products(pipe)
-        cols = [cache.get(beta)[1] for beta in qring.monomials(5)]
+        space = _quartic_products(pipe)
+        cols = space.columns(space.ring.monomials(20), 20)
         assert bits(Echelon(cols, len(pipe.quotient.degree_basis(20)))) <= 23
         spans = {}
-        image_of = pipe._image
+        eliminate = canring._Products.eliminate
 
-        def recording(cache, monos, degree, extra=()):
-            got = image_of(cache, monos, degree, extra)
-            spans[degree // 4] = got[1]
+        def recording(space, m, extra=()):
+            got = eliminate(space, m, extra)
+            spans[m // 4] = got[2]
             return got
 
-        monkeypatch.setattr(pipe, "_image", recording)
+        monkeypatch.setattr(canring._Products, "eliminate", recording)
         pipe.fourcanonical(d_max=6)
         assert spans[6].rank == 276
         assert bits(spans[6]) <= 36
@@ -539,19 +573,16 @@ class TestFourcanonical:
 
 
 def _quartic_products(pipe):
-    """The ring of monomials in the quartics, and a fresh cache of their
-    products in S/f, each a (degree, coordinate column) pair."""
-    quartics = pipe.descend_polys(4)
-    qring = WeightedRing([f"q{i}" for i in range(len(quartics))], [1] * len(quartics))
-    return qring, pipe._products(quartics)
+    """A fresh `_Products` of the quartics, whose degree-4d products are
+    the degree-d monomials in them."""
+    return canring._Products(pipe.quotient, pipe.descend_polys(4))
 
 
 def _all_monomial_ranks(pipe, d_max):
     """h(d) as the rank of the products of every degree-d monomial in the
     quartics, the formula used before spans were pruned to candidates."""
-    qring, cache = _quartic_products(pipe)
-    return {d: pipe._image(cache, qring.monomials(d), 4 * d)[1].rank
-            for d in range(1, d_max + 1)}
+    space = _quartic_products(pipe)
+    return {d: full_image(space, 4 * d)[1].rank for d in range(1, d_max + 1)}
 
 
 def _replay_empty_certificate(pipe, m, certificate):

@@ -14,6 +14,8 @@ from godeaux import cli
 from godeaux.canring import Pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# every pinned output: its arguments, exit status and golden file
+MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -390,6 +392,21 @@ class TestInputErrors:
         monkeypatch.setattr(Pipeline, "tricanonical", planted)
         with pytest.raises(fault, match="planted"):
             cli.main(["verify", "tricanonical"])
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[entry["golden"] for entry in MANIFEST])
+def test_manifest_output_matches_golden(capsys, entry):
+    # the behavioural contract, byte for byte with its exit status;
+    # `verify fourcanonical` exits 1 on the shipped expectation
+    code, out, _ = run_cli(capsys, *entry["args"])
+    assert code == entry["exit"]
+    assert out.encode() == (GOLDEN / entry["golden"]).read_bytes()
+
+
+def test_manifest_lists_every_golden():
+    listed = [entry["golden"] for entry in MANIFEST]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == {path.name for path in GOLDEN.iterdir()} - {"MANIFEST.json"}
 
 
 def test_console_entry_point():
