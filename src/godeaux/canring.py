@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .instance import Instance, Witness
 from .linalg import Column, Echelon
-from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly, rational_text
+from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly
 from .quotient import HypersurfaceRing
 
 
@@ -299,9 +299,12 @@ class Pipeline:
             descend = self.descend_space(d)
             return Echelon(descend + extra, len(quotient.degree_basis(d))).rank == len(descend)
 
+        gens = self.reference_generators.generators
         members = []
-        for idx, (poly, d) in enumerate(self.reference_generators.generators):
-            target = quotient.sparse_coordinates(quotient.normal_form(poly), d)
+        for idx, (poly, d) in enumerate(gens):
+            # the product with the generator's unit exponent, a column of
+            # the degree-d reference image
+            target = self._reference.column(tuple(int(j == idx) for j in range(len(gens))))
             members.append({"index": idx, "degree": d, "polynomial": format_poly(poly),
                             "member": within(d, [target])})
         spans = []
@@ -610,7 +613,7 @@ class Pipeline:
                     if p < len(pivots):
                         bmono, gi = products[pivots[p]]
                         combination.append({
-                            "coefficient": rational_text(-c),
+                            "coefficient": str(-c),
                             "monomial": format_poly(Poly(self.ring, {bmono: 1})),
                             "generator": gi,
                         })

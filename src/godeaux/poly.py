@@ -221,9 +221,6 @@ class Poly:
     def leading_coefficient(self) -> Number:
         return self.coeffs[self.leading_monomial()]
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Number]]:
-        return sorted(self.coeffs.items(), key=lambda t: self.ring.sort_key(t[0]), reverse=reverse)
-
     def content_normalized(self) -> "Poly":
         """Scale to coprime integer coefficients with positive leading one."""
         if not self.coeffs:
@@ -516,18 +513,14 @@ def parse_poly(text: str, ring: WeightedRing) -> Poly:
     return _Parser(text, ring).parse()
 
 
-def rational_text(c: Number) -> str:
-    """Canonical n/d rendering; the denominator is omitted when it is 1
-    (`str` of an int or a Fraction is exactly that)."""
-    return str(c)
-
-
 def format_poly(p: Poly) -> str:
-    """Canonical text form; terms in descending monomial order, no whitespace."""
+    """Canonical text form; terms in descending monomial order, no whitespace.
+    A coefficient is written by `str`, n/d with the denominator omitted when
+    it is 1."""
     if p.is_zero:
         return "0"
     parts = []
-    for mono, c in p.sorted_terms():
+    for mono, c in sorted(p.coeffs.items(), key=lambda t: p.ring.sort_key(t[0]), reverse=True):
         factors = []
         for name, e in zip(p.ring.names, mono):
             if e == 1:
@@ -537,11 +530,11 @@ def format_poly(p: Poly) -> str:
         neg = c < 0
         mag = -c if neg else c
         if not factors:
-            body = rational_text(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([rational_text(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

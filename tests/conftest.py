@@ -6,6 +6,15 @@ import io
 import pytest
 
 from godeaux import cli
+from godeaux.canring import Pipeline
+from godeaux.instance import load_instance
+
+
+@pytest.fixture(scope="session")
+def pipe():
+    """The shipped instance's pipeline at the default horizon 12, built once
+    for the graded tests and the acceptance checklist."""
+    return Pipeline(load_instance(), max_degree=12)
 
 
 @pytest.fixture(scope="session")
@@ -15,15 +24,4 @@ def canring_structured():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["canring", "--format", "structured"])
-    return code, out.getvalue()
-
-
-@pytest.fixture(scope="session")
-def canring_truncated():
-    """Exit code and output of `godeaux canring --max-degree 5 --format
-    structured`, a horizon below the relations, run once for every test that
-    reads it."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["canring", "--max-degree", "5", "--format", "structured"])
     return code, out.getvalue()

@@ -11,11 +11,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
-from godeaux.canring import Pipeline
 from godeaux.defcalc import load_defcalc_data, section_bound, t1_degrees
-from godeaux.instance import load_instance
 from godeaux.linalg import det_int, kernel_basis, rref
 from godeaux.poly import Poly, WeightedRing, divide, evaluate, format_poly, parse_poly
 from godeaux.topology import (
@@ -36,11 +32,6 @@ def _criterion(number: int, description: str, ok: bool) -> None:
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {number}: {description}")
     assert ok, f"criterion {number}: {description}"
-
-
-@pytest.fixture(scope="module")
-def pipe():
-    return Pipeline(load_instance(), max_degree=12)
 
 
 def _relation_defects(pipe):

@@ -18,6 +18,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 
 
+def golden(name):
+    """The structured golden document `name`, whose bytes and exit status
+    `test_manifest_output_matches_golden` pins."""
+    return json.loads((GOLDEN / name).read_text())
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -48,29 +54,15 @@ class TestCanring:
         assert doc["relations"]["total"] == 54
         assert all(c["status"] == "OK" for c in doc["checks"])
 
-    def test_truncated_horizon_skips_relations(self, canring_truncated):
-        code, out = canring_truncated
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["relations"]["status"] == "SKIPPED"
+    def test_truncated_horizon_skips_relations(self):
+        # the structured canring document is export_presentation plus checks
+        doc = golden("canring-max-degree-5.json")
+        assert doc["relations"] == {"status": "SKIPPED", "reason": "max degree below 10"}
+        assert doc["generators"]["computed"]["degrees"] == [
+            2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5]
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["relation-profile"] == "SKIPPED"
         assert statuses["generator-profile"] == "OK"
-        assert out.encode() == (GOLDEN / "canring-max-degree-5.json").read_bytes()
-
-    def test_horizon_thirteen_matches_golden(self, capsys):
-        # the deepest pinned horizon: the relation search prunes the most
-        # multiples in degree 13
-        code, out, _ = run_cli(capsys, "canring", "--max-degree", "13", "--format", "structured")
-        assert code == 0
-        assert out.encode() == (GOLDEN / "canring-max-degree-13.json").read_bytes()
-
-    def test_horizon_fourteen_matches_golden(self, capsys):
-        # reading the relation multiples over the non-pivot monomials saves
-        # the most row updates at horizon 14
-        code, out, _ = run_cli(capsys, "canring", "--max-degree", "14", "--format", "structured")
-        assert code == 0
-        assert out.encode() == (GOLDEN / "canring-max-degree-14.json").read_bytes()
 
     def test_horizon_below_generators_skips(self, capsys):
         # the degree-5 generators lie above horizon 4, so neither the
@@ -95,35 +87,24 @@ class TestCanring:
 
 
 class TestVerify:
-    def test_tricanonical(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "tricanonical",
-                               "--format", "structured")
-        assert code == 0
-        doc = json.loads(out)
+    def test_tricanonical(self):
+        doc = golden("verify-tricanonical.json")
         assert doc["status"] == "OK"
         assert doc["kernel_dimensions"]["9"] == 1
         assert doc["assignment"] == [0, 1, 2, 3]
         # lower kernel dimensions are derived from dim I_9 = 1; the document
-        # must not differ from the one that eliminated every degree
-        assert out.encode() == (GOLDEN / "verify-tricanonical.json").read_bytes()
+        # must not differ from the one that eliminated every degree, which
+        # the manifest test pins byte for byte
 
-    def test_paper_generators(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "paper-generators",
-                               "--format", "structured")
-        assert code == 0
-        doc = json.loads(out)
+    def test_paper_generators(self):
+        doc = golden("verify-paper-generators.json")
         assert doc["ok"]
         assert len(doc["members"]) == 13
-        assert out.encode() == (GOLDEN / "verify-paper-generators.json").read_bytes()
 
-    def test_base_locus(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "base-locus",
-                               "--format", "structured")
-        assert code == 0
-        doc = json.loads(out)
+    def test_base_locus(self):
+        doc = golden("verify-base-locus.json")
         verdicts = {m: doc["reports"][m]["verdict"] for m in ("m2", "m3", "m5")}
         assert verdicts == {"m2": "NONEMPTY", "m3": "EMPTY", "m5": "EMPTY"}
-        assert out.encode() == (GOLDEN / "verify-base-locus.json").read_bytes()
 
     def test_base_locus_undecided_exit(self, capsys, tmp_path):
         raw = load_raw("godeaux.json")
@@ -151,33 +132,26 @@ class TestVerify:
         assert report["verdict"] == "UNDECIDED"
         assert report["note"] == "stated witness failed exact verification"
 
-    def test_fourcanonical_reports_mismatch(self, capsys):
+    def test_fourcanonical_reports_mismatch(self):
         # the configured constant 16 is the Veronese value (second difference
         # of P_{4d}); the quartic subalgebra only reaches it from d = 6 on, so
         # against the computed 20, 16, 15 it is wrong at d = 3 and 5 and the
-        # command reports that mismatch
-        code, out, _ = run_cli(capsys, "verify", "fourcanonical",
-                               "--format", "structured")
-        assert code == 1
-        doc = json.loads(out)
+        # command reports that mismatch (the manifest pins its exit 1)
+        doc = golden("verify-fourcanonical.json")
         assert doc["second_differences"] == {"3": 20, "4": 16, "5": 15}
         assert doc["expected_second_difference"] == 16
         statuses = [c["status"] for c in doc["checks"]]
         assert statuses == ["FAIL", "OK", "FAIL"]
-        assert out.encode() == (GOLDEN / "verify-fourcanonical.json").read_bytes()
 
 
 class TestTopology:
-    def test_shipped_data(self, capsys):
-        code, out, _ = run_cli(capsys, "topology", "--format", "structured")
-        assert code == 0
-        doc = json.loads(out)
+    def test_shipped_data(self):
+        doc = golden("topology.json")
         assert doc["chain_homology"] == [[1, []], [0, []], [9, []], [1, []], [1, []]]
         assert doc["mayer_vietoris"] == doc["chain_homology"]
         assert doc["abelianization"] == [0, []]
         assert doc["fundamental_group"]["status"] == "TRIVIAL"
         assert doc["fundamental_group"]["replay_trivial"]
-        assert out.encode() == (GOLDEN / "topology.json").read_bytes()
 
     def test_expectation_mismatch(self, capsys, tmp_path):
         raw = load_raw("topology.json")
@@ -199,15 +173,12 @@ class TestTopology:
 
 
 class TestDefcalc:
-    def test_shipped_data(self, capsys):
-        code, out, _ = run_cli(capsys, "defcalc", "--format", "structured")
-        assert code == 0
-        doc = json.loads(out)
+    def test_shipped_data(self):
+        doc = golden("defcalc.json")
         degrees = {e["config"]: e["degrees"] for e in doc["configs"]}
         assert degrees == {"surface_double_curve": {"double_curve": 1},
                            "limit_core": {"core": -5},
                            "limit_arm": {"arm": 2}}
-        assert out.encode() == (GOLDEN / "defcalc.json").read_bytes()
 
     def test_expectation_mismatch(self, capsys, tmp_path):
         raw = load_raw("defcalc.json")
