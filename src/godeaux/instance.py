@@ -41,8 +41,13 @@ def _element(curve: CurveRing, where: str, texts) -> CurveElement:
     return made(where, curve.element, *pair(texts, where, of=str))
 
 
-def _parse_witness(key: str, cfg, nvars: int) -> Witness:
+def _parse_witness(key: str, cfg, nvars: int) -> tuple[int, Witness]:
+    """The degree a witness is keyed by, and the witness."""
     where = f"base_locus.witnesses.{key}"
+    try:
+        degree = int(key)
+    except ValueError:
+        raise ValueError(f"{where}: the key must be an integer degree") from None
     text = get(typed(cfg, dict, where), "extension_minimal_polynomial", str, where)
     point = get(cfg, "point", list, where, of=str)
     if len(point) != nvars:
@@ -53,7 +58,7 @@ def _parse_witness(key: str, cfg, nvars: int) -> Witness:
     coords = tuple(made(where, parse_poly, c, tring) for c in point)
     if (mu.degree() or 0) < 1:
         raise ValueError(f"{where}: the minimal polynomial must have degree at least 1")
-    return Witness(text, tuple(point), mu, coords)
+    return degree, Witness(text, tuple(point), mu, coords)
 
 
 class Instance:
@@ -62,8 +67,8 @@ class Instance:
     def __init__(self, raw: dict):
         self.name = get(raw, "name", str, default="unnamed")
         ring_cfg = get(raw, "ring", dict)
-        self.ring = WeightedRing(get(ring_cfg, "names", list, "ring", of=str),
-                                 get(ring_cfg, "weights", list, "ring", of=int))
+        self.ring = made("ring", WeightedRing, get(ring_cfg, "names", list, "ring", of=str),
+                         get(ring_cfg, "weights", list, "ring", of=int))
         modulus = made("modulus", parse_poly, get(raw, "modulus", str), self.ring)
         self.quotient = HypersurfaceRing(self.ring, modulus)
 
@@ -96,7 +101,8 @@ class Instance:
 
         tri = get(raw, "tricanonical", dict)
         names = get(tri, "variables", list, "tricanonical", of=str)
-        self.tricanonical_ring = WeightedRing(names, [1] * len(names))
+        self.tricanonical_ring = made("tricanonical.variables", WeightedRing,
+                                      names, [1] * len(names))
         indices = get(tri, "generator_indices", list, "tricanonical", of=int)
         if not names or len(indices) != len(names):
             raise ValueError(f"tricanonical: one generator index per variable required "
@@ -113,9 +119,9 @@ class Instance:
         bl = get(raw, "base_locus", dict)
         self.base_locus_bound = get(bl, "degree_bound", int, "base_locus")
         self.nonempty_evidence_bound = get(bl, "nonempty_evidence_bound", int, "base_locus")
-        self.base_locus_witnesses = {
-            int(k): _parse_witness(k, v, self.ring.n)
-            for k, v in get(bl, "witnesses", dict, "base_locus", {}).items()}
+        self.base_locus_witnesses = dict(
+            _parse_witness(k, v, self.ring.n)
+            for k, v in get(bl, "witnesses", dict, "base_locus", {}).items())
         self.expected = _checked_expected(raw)
 
 

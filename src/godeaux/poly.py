@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence, Union
 
-from .linalg import Number
+from .linalg import Number, _as_int_row, _content
 
 Monomial = tuple[int, ...]
 
@@ -225,25 +225,11 @@ class Poly:
         """Scale to coprime integer coefficients with positive leading one."""
         if not self.coeffs:
             return self
-        from math import gcd
-
-        denom = 1
-        for c in self.coeffs.values():
-            if isinstance(c, Fraction):
-                denom = denom // gcd(denom, c.denominator) * c.denominator
-        ints = {}
-        for m, c in self.coeffs.items():
-            ints[m] = int(c * denom)
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = {m: v // g for m, v in ints.items()}
-        if ints[max(ints, key=self.ring.sort_key)] < 0:
-            ints = {m: -v for m, v in ints.items()}
-        return Poly(self.ring, ints)
+        ints = _as_int_row(self.coeffs)
+        g = _content(ints.values())
+        if ints[self.leading_monomial()] < 0:
+            g = -g
+        return Poly(self.ring, {m: v // g for m, v in ints.items()})
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -8,8 +8,7 @@ ideal arithmetic lives here.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add, sub
 
 from .linalg import Column, Number, dense
 from .poly import Monomial, Poly, WeightedRing, _norm_coeff
@@ -43,21 +42,31 @@ class HypersurfaceRing:
         # the only exponents a reducibility test has to compare
         self._lead_exponents = tuple((i, e) for i, e in enumerate(lead) if e)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
-        self._position_cache: dict[int, dict[Monomial, int]] = {}
         self._shift_cache: dict[tuple[Monomial, int], tuple[int, list]] = {}
-        self._unit_cache: dict[int, list[tuple[tuple[int, int]]]] = {}
+        self._unit_cache: dict[int, dict[Monomial, tuple[tuple[int, int]]]] = {}
+        # the normal form of each reducible monomial reached so far; see `_entry`
+        self._memo: dict[Monomial, tuple[tuple[int, Number], ...]] = {}
 
     def __repr__(self) -> str:
         return f"HypersurfaceRing({self.ambient!r} / ({self.modulus}))"
 
     def normal_form(self, p: Poly) -> Poly:
-        """Canonical representative: remainder of division by the modulus.
+        """Canonical representative: remainder of division by the modulus,
+        equal to poly.divide(p, [modulus])[1].
 
-        Equal to the remainder of poly.divide(p, [modulus]); see `_reduce`.
+        Reduction is linear, so the result is the sum over the terms of p
+        of their memoized normal forms (see `_entry`); p may have any
+        degree and need not be homogeneous.
         """
         if p.ring != self.ambient:
             raise ValueError("polynomial from a different ring")
-        return self._reduce(dict(p.coeffs))
+        out: dict[Monomial, Number] = {}
+        for m, c in p.coeffs.items():
+            d = self.ambient.degree(m)
+            basis = self.degree_basis(d)
+            for j, v in self._entry(m, d):
+                out[basis[j]] = out.get(basis[j], 0) + c * v
+        return Poly(self.ambient, out)
 
     def times(self, column: Column, d: int, element: Poly) -> dict[int, Number]:
         """The coordinates {position in degree_basis(d + e): coefficient} of
@@ -65,8 +74,8 @@ class HypersurfaceRing:
         over degree_basis(d) and `element` homogeneous of degree e.
 
         Multiplication by a monomial t is linear on S/f, so the product is
-        read off one table per term of `element`: the normal form of b * t
-        for each basis monomial b of degree d (see `_shift_table`).
+        read off one table per term of `element`: the memoized normal form
+        of b * t for each basis monomial b of degree d (see `_shift_table`).
         Coefficients follow `Poly`'s rule: a value equal to an integer is an
         int, and zeros are dropped.
         """
@@ -91,58 +100,39 @@ class HypersurfaceRing:
 
     def _shift_table(self, t: Monomial, d: int) -> tuple[int, list]:
         """The degree e of `t`, and for each monomial of degree_basis(d) the
-        (position, coefficient) pairs of the normal form of its product with
-        t over degree_basis(d + e).  Built on first use and kept."""
+        `_entry` of its product with t: the shared (position, coefficient)
+        pairs of that product's normal form over degree_basis(d + e), so a
+        product that several tables reach is one object.  Built on first use
+        and kept."""
         key = (t, d)
         got = self._shift_cache.get(key)
         if got is None:
             e = self.ambient.degree(t)
-            positions = self._positions(d + e)
             units = self._units(d + e)
-            table = []
-            for b in self.degree_basis(d):
-                m = tuple(map(add, b, t))
-                if self._reducible(m):
-                    nf = self._reduce({m: 1})
-                    table.append(tuple((positions[k], c) for k, c in nf.coeffs.items()))
-                else:
-                    table.append(units[positions[m]])
-            got = self._shift_cache[key] = (e, table)
+            products = (tuple(map(add, b, t)) for b in self.degree_basis(d))
+            got = self._shift_cache[key] = (
+                e, [units.get(m) or self._entry(m, d + e) for m in products])
         return got
 
-    def _reduce(self, work: dict[Monomial, Number]) -> Poly:
-        """Reduce `work` (consumed) modulo the modulus in one worklist pass.
+    def _entry(self, m: Monomial, d: int) -> tuple[tuple[int, Number], ...]:
+        """The (position, coefficient) pairs of the normal form of the
+        monomial m of degree d over degree_basis(d), one object per monomial.
 
-        A single divisor is its own Groebner basis, so the remainder does not
-        depend on the order of the rewrites.  Every reducible monomial of
-        the input is scheduled once, zero coefficients included, and a
-        rewrite schedules only the reducible targets new to `work`.  The
-        largest pending monomial goes first: a rewrite keeps the degree and
-        lands below its source, and within one degree the monomial order
-        compares reversed exponent tuples, so no monomial gains a term after
-        its turn and each is rewritten at most once.
+        A basis monomial reads its `_units` entry.  A reducible m = lead * s
+        is lead's rewrite times s, the sum of tc * nf(s * tm) over the tail
+        terms: each s * tm keeps the degree and lies below m in the monomial
+        order, so the recursion ends, and its result is memoized.  (A
+        memoized normal form may be 0, the empty tuple.)
         """
-        reducible = self._reducible
-        lead = self.lead
-        rewrite = self._rewrite
-        pending = [(tuple(map(neg, m[::-1])), m) for m in work if reducible(m)]
-        heapify(pending)
-        while pending:
-            mono = heappop(pending)[1]
-            coeff = work.pop(mono)
-            if not coeff:
-                continue
-            shift = tuple(map(sub, mono, lead))
-            for tm, tc in rewrite:
-                tgt = tuple(map(add, shift, tm))
-                old = work.get(tgt)
-                if old is None:
-                    work[tgt] = coeff * tc
-                    if reducible(tgt):
-                        heappush(pending, (tuple(map(neg, tgt[::-1])), tgt))
-                else:
-                    work[tgt] = old + coeff * tc
-        return Poly(self.ambient, work)
+        got = self._units(d).get(m) or self._memo.get(m)
+        if got is None:
+            shift = tuple(map(sub, m, self.lead))
+            acc: dict[int, Number] = {}
+            for tm, tc in self._rewrite:
+                for j, v in self._entry(tuple(map(add, shift, tm)), d):
+                    acc[j] = acc.get(j, 0) + tc * v
+            got = self._memo[m] = tuple((j, _norm_coeff(v)) for j, v in acc.items() if v)
+        return got
 
     def _reducible(self, mono: Monomial) -> bool:
         for i, e in self._lead_exponents:
@@ -172,24 +162,18 @@ class HypersurfaceRing:
         Raises ValueError unless every term of `nf` is a basis monomial of
         degree d, which rejects both a wrong degree and an unreduced input.
         """
-        positions = self._positions(d)
+        units = self._units(d)
         try:
-            return {positions[m]: c for m, c in nf.coeffs.items()}
+            return {units[m][0][0]: c for m, c in nf.coeffs.items()}
         except KeyError:
             raise ValueError(f"degree mismatch: not a normal form of degree {d}") from None
 
-    def _units(self, d: int) -> list[tuple[tuple[int, int]]]:
-        """For each position of degree_basis(d), the shift-table entry
-        ((position, 1),) of a product that is that basis monomial, one
-        object shared by every table that lands in degree d."""
+    def _units(self, d: int) -> dict[Monomial, tuple[tuple[int, int]]]:
+        """The `_entry` ((position, 1),) of each monomial of degree_basis(d),
+        keyed by the monomial: one object per basis monomial, shared by every
+        table that lands in degree d, and the degree's position map."""
         units = self._unit_cache.get(d)
         if units is None:
-            units = self._unit_cache[d] = [((i, 1),) for i in range(len(self.degree_basis(d)))]
+            units = self._unit_cache[d] = {
+                m: ((i, 1),) for i, m in enumerate(self.degree_basis(d))}
         return units
-
-    def _positions(self, d: int) -> dict[Monomial, int]:
-        positions = self._position_cache.get(d)
-        if positions is None:
-            positions = {m: i for i, m in enumerate(self.degree_basis(d))}
-            self._position_cache[d] = positions
-        return positions

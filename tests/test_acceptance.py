@@ -9,7 +9,6 @@ equality, with no tolerances anywhere.
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 from godeaux.defcalc import load_defcalc_data, section_bound, t1_degrees
 from godeaux.linalg import det_int, kernel_basis, rref
@@ -25,7 +24,6 @@ from godeaux.topology import (
 DESCEND_DIMS = (1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67)
 GENERATOR_DEGREES = [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5]
 RELATION_COUNTS = {6: 6, 7: 12, 8: 18, 9: 12, 10: 6}
-GOLDEN_CANRING = Path(__file__).resolve().parent / "golden" / "canring.json"
 
 
 def _criterion(number: int, description: str, ok: bool) -> None:
@@ -293,12 +291,3 @@ def test_criterion_10_deformation_degrees():
     )
     _criterion(10, "gluing-sheaf degrees are 1 (double curve), -5 (core), 2 (arms); "
                    "section bounds give 1 at degree 1 and 0 at degree -5", ok)
-
-
-def test_criterion_11_golden_document(canring_structured):
-    # A deliberate change to the document is recorded by regenerating the
-    # file: godeaux canring --format structured > tests/golden/canring.json
-    code, out = canring_structured
-    ok = code == 0 and out.encode() == GOLDEN_CANRING.read_bytes()
-    _criterion(11, "structured canring output is byte-identical to the "
-                   "checked-in document tests/golden/canring.json", ok)

@@ -45,10 +45,9 @@ def shipped_with(path, value, name="godeaux.json"):
 
 
 class TestCanring:
-    def test_structured_success(self, canring_structured):
-        code, out = canring_structured
-        assert code == 0
-        doc = json.loads(out)
+    def test_structured_success(self):
+        # the manifest pins this document's bytes and its exit status 0
+        doc = golden("canring.json")
         assert doc["generators"]["computed"]["degrees"] == [
             2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5]
         assert doc["relations"]["total"] == 54
@@ -75,10 +74,11 @@ class TestCanring:
             assert checks[name]["detail"] == "max degree below 5"
         assert checks["reference-generators"]["status"] == "OK"
 
-    def test_text_mode(self, capsys, monkeypatch, canring_structured):
-        # the text lines are rendered from the same document as the shared
-        # structured run, so that document stands in for a second pipeline run
-        doc = json.loads(canring_structured[1])
+    def test_text_mode(self, capsys, monkeypatch):
+        # the text lines are rendered from the same document as the
+        # structured output, so the golden document stands in for a
+        # pipeline run
+        doc = golden("canring.json")
         monkeypatch.setattr(Pipeline, "export_presentation", lambda self: doc)
         code, out, _ = run_cli(capsys, "canring")
         assert code == 0
@@ -293,12 +293,23 @@ class TestInputErrors:
          "residue_images.2: components of unequal degree"),
         (["canring"], shipped_with(("tau_generators", 0), ["a1", "c2"]),
          "tau_generators.0: unknown variable 'c2' (at position 0)"),
+        (["verify", "base-locus"],
+         shipped_with(("base_locus", "witnesses"),
+                      {"x": load_raw("godeaux.json")["base_locus"]["witnesses"]["2"]}),
+         "base_locus.witnesses.x: the key must be an integer degree"),
+        (["canring"], shipped_with(("ring", "names", 1), "x1"), "ring: duplicate variable name"),
+        (["verify", "tricanonical"], shipped_with(("tricanonical", "variables", 0), "1bad"),
+         "tricanonical.variables: bad variable name: '1bad'"),
+        (["canring"], shipped_with(("ring", "weights", 0), 0),
+         "ring: weights must be positive integers, got 0"),
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
             "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
             "boolean-relator-letter", "boolean-weight", "boolean-node-preimages",
             "modulus-degree-240", "modulus-huge-coefficient", "modulus-unfinished", "reference-generator-unknown-variable",
             "tricanonical-form-unfinished", "curve-factor-duplicate-name",
-            "residue-image-unequal-degrees", "tau-generator-unknown-variable"])
+            "residue-image-unequal-degrees", "tau-generator-unknown-variable",
+            "witness-key-not-an-integer", "ring-duplicate-name", "tricanonical-bad-name",
+            "ring-zero-weight"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):
         # each of these once crashed mid-run with a traceback, printed a bare
         # field name or read a boolean as 0 or 1; the loader now refuses

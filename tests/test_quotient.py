@@ -214,15 +214,23 @@ class TestVectors:
         fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3+x1^6", ring))
         _, by_y = fresh._shift_table((0, 0, 1, 0), 4)
         _, by_x1 = fresh._shift_table((1, 0, 0, 0), 5)
-        positions = fresh._positions(6)
         target = (2, 0, 2, 0)
         from_y = by_y[fresh.degree_basis(4).index((2, 0, 1, 0))]
         from_x1 = by_x1[fresh.degree_basis(5).index((1, 0, 2, 0))]
-        assert from_y == ((positions[target], 1),)
+        assert from_y == ((fresh.degree_basis(6).index(target), 1),)
         assert from_y is from_x1
+        # a reducible product, x1*z^2 = (x1*z) * z = z * (x1*z), is one
+        # memoized normal form for both tables
+        _, by_z = fresh._shift_table((0, 0, 0, 1), 4)
+        _, by_x1z = fresh._shift_table((1, 0, 0, 1), 3)
+        from_z = by_z[fresh.degree_basis(4).index((1, 0, 0, 1))]
+        from_x1z = by_x1z[fresh.degree_basis(3).index((0, 0, 0, 1))]
+        nf = fresh.normal_form(parse_poly("x1*z^2", ring))
+        assert dict(from_z) == fresh.sparse_coordinates(nf, 7)
+        assert from_z is from_x1z
 
 
-# -- oracle: the worklist reduction against generic division -------------
+# -- oracle: the memoized rewrite against generic division --------------
 
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -322,6 +330,17 @@ class TestReductionOracle:
     def test_normal_form_matches_divide(self, oracle_quotient, p):
         _, remainder = divide(p, [oracle_quotient.modulus])
         assert oracle_quotient.normal_form(p) == remainder
+
+    def test_lead_powers_match_divide(self, oracle_quotient):
+        # lead^k * v starts the longest rewrite chains in its degree: a
+        # memo entry recurses through products that lead still divides
+        lead = oracle_quotient.lead
+        for k in range(1, 7):
+            for v in range(ORACLE_RING.n):
+                mono = tuple(k * e + (i == v) for i, e in enumerate(lead))
+                p = Poly(ORACLE_RING, {mono: 1})
+                _, remainder = divide(p, [oracle_quotient.modulus])
+                assert oracle_quotient.normal_form(p) == remainder
 
     @ORACLE
     @given(st.data())
