@@ -326,27 +326,30 @@ class Pipeline:
         """Minimal relations against the reference generator list.
 
         In each degree m the multiples of the relations found so far span
-        the ideal slice, a subspace of the kernel of the product map.  When
-        their rank equals the kernel's dimension the degree has no new
-        relation, and the kernel basis, whose back substitution costs as much
-        again as the forward pass, is never built.  Otherwise the new
-        relations are the kernel vectors whose columns are pivots of
-        [independent multiples | kernel vectors]: each is independent of the
-        multiples and of the kernel vectors before it.
+        the ideal slice, a subspace of the kernel of the product map.  One
+        elimination of [multiples | kernel basis vectors] per degree reads
+        both: its pivot columns among the multiples are the independent
+        multiples, and each later pivot column is a new relation, a kernel
+        vector independent of the multiples and of the kernel vectors before
+        it.  Its rank is the kernel's dimension, recorded as the rank of the
+        ideal slice once the new relations join it.  When the multiples
+        alone fill the kernel the elimination stops before the kernel
+        columns, and the kernel basis, whose back substitution costs as much
+        again as the forward pass, is never built.
 
         Every vector is read in the kernel's own coordinates: its entries at
         the monomials that are no pivot of the reference image, in monomial
         order.  The pivot products are independent, so a kernel vector that
         is zero there is zero, and the reading is injective on the kernel,
         whose dimension is the number of those monomials.  Ranks and pivot
-        columns are therefore those of the full coordinates, every
-        elimination has as many rows as the kernel's dimension, and the last
-        one of each degree has full row rank: no row is updated only to end
-        as zero.  A kernel basis vector reads as the unit vector at its free
-        column; the new relation itself is read off the kernel.
+        columns are therefore those of the full coordinates, and the
+        elimination has as many rows as the kernel's dimension and full row
+        rank: no row is updated only to end as zero.  A kernel basis vector
+        reads as the unit vector at its free column; the new relation itself
+        is read off the kernel.
 
-        Both eliminations take only `_candidates`.  A multiple gamma * r is
-        kept when every (gamma - e_i) * r was a pivot multiple in its degree
+        Both sides take only `_candidates`.  A multiple gamma * r is kept
+        when every (gamma - e_i) * r was a pivot multiple in its degree
         (gamma - e_i = 0 is r itself).  The kernel is that of the pruned
         reference image; the multiples span the pruned columns' kernel
         vectors, since the search starts at `_FIRST_RELATION_DEGREE`, the
@@ -372,25 +375,22 @@ class Pipeline:
             multiples = [{i: c for mono, c in rels[r][0].coeffs.items()
                           if (i := position.get(tuple(map(add, gamma, mono)))) is not None}
                          for r, gamma in pairs]
-            ideal = Echelon(multiples, len(free))
+            # the kernel vector of a free candidate is 1 there and nonzero
+            # elsewhere only at pivot monomials
+            units = [{position[mono]: 1} for mono in cands if mono in position]
+            joint = Echelon(multiples + units, len(free))
             for r, (_, rdeg) in enumerate(rels):
                 kept[r][m - rdeg] = set()
-            for j in ideal.pivot_columns:
-                r, gamma = pairs[j]
-                kept[r][m - rels[r][1]].add(gamma)
-            rank = ideal.rank
-            if rank < len(free):
-                # the kernel vector of a free candidate is 1 there and
-                # nonzero elsewhere only at pivot monomials
-                units = [{position[mono]: 1} for mono in cands if mono in position]
-                joint = Echelon([multiples[j] for j in ideal.pivot_columns] + units, len(free))
-                for j in joint.pivot_columns[rank:]:
-                    kvec = image.kernel()[j - rank]
+            for j in joint.pivot_columns:
+                if j < len(pairs):
+                    r, gamma = pairs[j]
+                    kept[r][m - rels[r][1]].add(gamma)
+                else:
+                    kvec = image.kernel()[j - len(pairs)]
                     poly = Poly(tring, {cands[i]: c for i, c in kvec.items()})
                     rels.append((poly.content_normalized(), m))
                     kept.append({})
-                rank = joint.rank
-            ideal_ranks[m] = rank
+            ideal_ranks[m] = joint.rank
         self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
         return self._relations
 
@@ -620,57 +620,3 @@ class Pipeline:
                 found[i] = (k, d, combination)
                 remaining.discard(i)
         return found
-
-    # -- assembled document ---------------------------------------------
-
-    def export_presentation(self) -> dict:
-        """Full machine-readable report over every pipeline stage.
-
-        Relations need the full degree horizon, so they are skipped when
-        max_degree sits below 10.
-        """
-        # the map checks build and drop their own products, so they run
-        # before the generator, reference-image and relation caches fill
-        tri = self.tricanonical()
-        four = self.fourcanonical()
-        computed = self.minimal_generators()
-        reference_report = self.verify_reference()
-        rels = self.relations() if self.max_degree >= 10 else None
-        hilbert = self.hilbert_consistency()
-        base = {f"m{m}": self.base_locus(m) for m in (2, 3, 5)}
-        doc = {
-            "instance": self.instance.name,
-            "max_degree": self.max_degree,
-            "generators": {
-                "computed": {
-                    "degrees": computed.degrees(),
-                    "polynomials": [format_poly(p) for p in computed.polynomials()],
-                },
-                "reference": {
-                    "degrees": self.reference_generators.degrees(),
-                    "polynomials": [format_poly(p) for p
-                                    in self.reference_generators.polynomials()],
-                    "verified": reference_report["ok"],
-                },
-            },
-            "relations": {
-                "counts": {str(d): c for d, c in sorted(rels.counts().items())},
-                "total": len(rels.relations),
-                "horizon": rels.horizon,
-                "polynomials": [format_poly(p) for p, _ in rels.relations],
-            } if rels is not None else {
-                "status": "SKIPPED",
-                "reason": "max degree below 10",
-            },
-            "hilbert": hilbert,
-            "codimension": len(computed.generators) - 3,
-            "tricanonical": {key: tri.get(key) for key in
-                             ("assignment", "form", "kernel_dimensions",
-                              "substitution_vanishes", "status")},
-            "base_locus": base,
-            "fourcanonical_second_differences":
-                [four["second_differences"][d] for d in sorted(four["second_differences"])],
-        }
-        doc["tricanonical"]["kernel_dimensions"] = {
-            str(d): v for d, v in tri["kernel_dimensions"].items()}
-        return doc

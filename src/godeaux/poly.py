@@ -255,8 +255,10 @@ def divide(dividend: Poly, divisors: Sequence[Poly]) -> tuple[list[Poly], Poly]:
     quotients = [ring.zero() for _ in divisors]
     remainder: dict[Monomial, Number] = {}
     work = dict(dividend.coeffs)
+    # the order key of every monomial that has entered `work`, computed once
+    keys = {mono: ring.sort_key(mono) for mono in work}
     while work:
-        mono = max(work, key=ring.sort_key)
+        mono = max(work, key=keys.__getitem__)
         coeff = work.pop(mono)
         for i, (lm, lc) in enumerate(leads):
             if all(a >= b for a, b in zip(mono, lm)):
@@ -273,6 +275,8 @@ def divide(dividend: Poly, divisors: Sequence[Poly]) -> tuple[list[Poly], Poly]:
                     tm = tuple(a + b for a, b in zip(qmono, m2))
                     nc = work.get(tm, 0) - qc * c2
                     if nc:
+                        if tm not in keys:
+                            keys[tm] = ring.sort_key(tm)
                         work[tm] = nc
                     else:
                         work.pop(tm, None)

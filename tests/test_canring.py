@@ -178,10 +178,9 @@ class TestRelations:
         return fresh
 
     def test_no_dead_rows(self, monkeypatch):
-        # each elimination has one row per non-pivot monomial, as many as
-        # the kernel's dimension, so the last one of every degree (the ideal
-        # slice, or the joint one where new relations appear) has full row
-        # rank: no row is updated only to end as zero
+        # one elimination per degree, [multiples | kernel basis vectors],
+        # with one row per non-pivot monomial, as many as the kernel's
+        # dimension, and full row rank: no row is updated only to end as zero
         fresh = self._prebuilt()
         seen = []
 
@@ -192,21 +191,17 @@ class TestRelations:
 
         monkeypatch.setattr(canring, "Echelon", Recorded)
         rels = fresh.relations()
-        for m in range(4, 13):
-            # the ideal slice, then the joint elimination where new
-            # relations appear
-            count = 2 if m in RELATION_COUNTS else 1
-            group, seen = seen[:count], seen[count:]
+        assert len(seen) == 9
+        for m, (nrows, echelon) in zip(range(4, 13), seen):
             dim = len(fresh.presentation_ring.monomials(m)) - len(fresh._reference.pivots[m])
-            assert [nrows for nrows, _ in group] == [dim] * count, m
-            assert group[-1][1].rank == dim == rels.ideal_ranks[m], m
-        assert seen == []
+            assert nrows == echelon.rank == dim == rels.ideal_ranks[m], m
 
     def test_elimination_work_guard(self, monkeypatch):
         # the row updates of one relation search at horizon 12, past the
-        # reference images: 15164 over every monomial, 2844 over the
-        # non-pivot ones, and it must not rise.  An update that bypasses
-        # `_cross_eliminate` would count 0 and pass vacuously.
+        # reference images: 15164 over every monomial, 2508 over the
+        # non-pivot ones in one elimination per degree, and it must not
+        # rise.  An update that bypasses `_cross_eliminate` would count 0
+        # and pass vacuously.
         fresh = self._prebuilt()
         calls = 0
         update = linalg._cross_eliminate
@@ -218,7 +213,7 @@ class TestRelations:
 
         monkeypatch.setattr(linalg, "_cross_eliminate", counted)
         assert len(fresh.relations().relations) == 54
-        assert 0 < calls <= 2844
+        assert 0 < calls <= 2508
 
 
 def full_image(space, m, extra=()):

@@ -54,7 +54,7 @@ class TestCanring:
         assert all(c["status"] == "OK" for c in doc["checks"])
 
     def test_truncated_horizon_skips_relations(self):
-        # the structured canring document is export_presentation plus checks
+        # the manifest pins this document's bytes and its exit status 0
         doc = golden("canring-max-degree-5.json")
         assert doc["relations"] == {"status": "SKIPPED", "reason": "max degree below 10"}
         assert doc["generators"]["computed"]["degrees"] == [
@@ -73,17 +73,6 @@ class TestCanring:
             assert checks[name]["status"] == "SKIPPED"
             assert checks[name]["detail"] == "max degree below 5"
         assert checks["reference-generators"]["status"] == "OK"
-
-    def test_text_mode(self, capsys, monkeypatch):
-        # the text lines are rendered from the same document as the
-        # structured output, so the golden document stands in for a
-        # pipeline run
-        doc = golden("canring.json")
-        monkeypatch.setattr(Pipeline, "export_presentation", lambda self: doc)
-        code, out, _ = run_cli(capsys, "canring")
-        assert code == 0
-        assert "generator degrees: 2 2 3 3 3 3 4 4 4 4 5 5 5" in out
-        assert "check hilbert-consistency: OK" in out
 
 
 class TestVerify:
@@ -170,6 +159,36 @@ class TestTopology:
         code, out, _ = run_cli(capsys, "topology", "--instance", str(path))
         assert code == 0
         assert "check" not in out
+
+
+def _without_expectations(name):
+    """The shipped data file `name` with every stated expectation dropped."""
+    raw = load_raw(name)
+    raw.pop("expected", None)
+    raw.pop("deformation_dimension", None)
+    for entry in raw.get("configs", []) + raw.get("section_bounds", []):
+        entry.pop("expected_degrees", None)
+        entry.pop("expected", None)
+    return raw
+
+
+@pytest.mark.parametrize("argv, name, computed", [
+    (["canring"], "godeaux.json", {"reference-generators", "hilbert-consistency"}),
+    (["verify", "fourcanonical"], "godeaux.json", set()),
+    (["verify", "base-locus"], "godeaux.json", set()),
+    (["defcalc"], "defcalc.json", set()),
+], ids=["canring", "verify-fourcanonical", "verify-base-locus", "defcalc"])
+def test_no_check_without_expectation(capsys, tmp_path, argv, name, computed):
+    # a check appears only where the data file states an expectation, the
+    # rule `topology` keeps above; what remains are the checks of computed
+    # facts alone, and they pass on the shipped data
+    path = tmp_path / name
+    path.write_text(json.dumps(_without_expectations(name)))
+    code, out, _ = run_cli(capsys, *argv, "--instance", str(path), "--format", "structured")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert {c["name"] for c in checks} == computed
+    assert all(c["status"] == "OK" for c in checks)
 
 
 class TestDefcalc:
