@@ -511,15 +511,29 @@ class Pipeline:
         V_d = R_4 * V_{d-1}, and degree d eliminates only the `_candidates`:
         the monomials beta whose every divisor beta - e_i is a pivot of
         degree d - 1, not every monomial of degree d in the quartics.
+
+        The quartics are taken in `_quartics` order, sparsest first.  h(d)
+        is the rank of V_d, which no basis order of R_4 and no term order
+        of the products changes, and the candidate rule holds for any
+        variable order; only the work depends on the order.  The exponent
+        ring lists the powers of its first variables first, so with the
+        monomial quartics first each degree starts on near-unit columns
+        that pivot without updating anything, and the dense powers come
+        last, when most rows are already pivots.
         """
         if d_max < 4:
             raise ValueError("d_max must be at least 4")
-        space = _Products(self.quotient, self.descend_polys(4))
+        space = _Products(self.quotient, self._quartics())
         h = {0: 1}
         for d in range(1, d_max + 1):
             h[d] = space.eliminate(4 * d)[2].rank
         second = {d: h[d] - 2 * h[d - 1] + h[d - 2] for d in range(3, d_max + 1)}
         return {"h": h, "second_differences": second, "quartic_count": len(space.elements)}
+
+    def _quartics(self) -> list[Poly]:
+        """The quartics R_4 by term count, fewest first; the sort is stable,
+        so ties keep the descent (RREF) order."""
+        return sorted(self.descend_polys(4), key=lambda p: len(p.coeffs))
 
     # -- base locus ------------------------------------------------------
 

@@ -427,7 +427,8 @@ class TestFourcanonical:
     def test_elimination_work_guard(self, pipe, monkeypatch):
         # the row updates of one forward elimination of every degree-5
         # product of the quartics (211 rows, 462 columns); fill-reducing
-        # pivot rows took the count from 4529 to 3675, and it must not rise.
+        # pivot rows took the count from 4529 to 3675 and the sparsest
+        # quartics first from 3675 to 657; it must not rise.
         # The count must also be real: an update that bypasses
         # `_cross_eliminate` would count 0 and pass vacuously.
         space = _quartic_products(pipe)
@@ -442,20 +443,21 @@ class TestFourcanonical:
 
         monkeypatch.setattr(linalg, "_cross_eliminate", counted)
         assert Echelon(cols, len(pipe.quotient.degree_basis(20))).rank == 190
-        assert 0 < calls <= 3675
+        assert 0 < calls <= 657
 
     def test_pivot_row_bit_guard(self, pipe, monkeypatch):
         # an update by a pivot entry of 1 does not divide the row by its
         # content, so nothing else bounds the entries the pivot rows reach:
-        # at most 23 bits on the degree-5 matrix above and 36 on the
-        # degree-6 quartic span, the values when every update was
-        # content-reduced
+        # at most 12 bits on the degree-5 matrix above and 17 on the
+        # degree-6 quartic span, the values with the sparsest quartics
+        # first (23 and 36 in the descent order, the values when every
+        # update was content-reduced)
         def bits(echelon):
             return max(abs(x).bit_length() for _, row in echelon._pivots for x in row.values())
 
         space = _quartic_products(pipe)
         cols = space.columns(space.ring.monomials(20), 20)
-        assert bits(Echelon(cols, len(pipe.quotient.degree_basis(20)))) <= 23
+        assert bits(Echelon(cols, len(pipe.quotient.degree_basis(20)))) <= 12
         spans = {}
         eliminate = canring._Products.eliminate
 
@@ -467,7 +469,34 @@ class TestFourcanonical:
         monkeypatch.setattr(canring._Products, "eliminate", recording)
         pipe.fourcanonical(d_max=6)
         assert spans[6].rank == 276
-        assert bits(spans[6]) <= 36
+        assert bits(spans[6]) <= 17
+
+    def test_sparsest_first_work_guard(self, monkeypatch):
+        # the row updates of a fresh `fourcanonical(d_max=6)`, descent
+        # included: 13566 with the quartics in descent order, 2547 with the
+        # sparsest first, and it must not rise
+        calls = 0
+        update = linalg._cross_eliminate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return update(*args)
+
+        monkeypatch.setattr(linalg, "_cross_eliminate", counted)
+        Pipeline(load_instance()).fourcanonical(d_max=6)
+        assert 0 < calls <= 2547
+
+    @pytest.mark.parametrize("order", [
+        pytest.param(lambda polys: polys, id="descent"),
+        pytest.param(lambda polys: polys[::-1], id="reversed"),
+    ])
+    def test_quartic_order_is_free(self, four, monkeypatch, order):
+        # h is the rank of V_d, so the descent order and its reverse give
+        # the Hilbert function and second differences of the sparsest-first
+        # order that `four` was computed in
+        monkeypatch.setattr(Pipeline, "_quartics", lambda pipe: order(pipe.descend_polys(4)))
+        assert Pipeline(load_instance()).fourcanonical() == four
 
     def test_products_are_never_made_dense(self, monkeypatch):
         # every vector of the pipeline is a sparse mapping eliminated by
@@ -494,15 +523,17 @@ class TestFourcanonical:
 
 
 def _quartic_products(pipe):
-    """A fresh `_Products` of the quartics, whose degree-4d products are
-    the degree-d monomials in them."""
-    return canring._Products(pipe.quotient, pipe.descend_polys(4))
+    """A fresh `_Products` of the quartics in the order `fourcanonical`
+    takes them, whose degree-4d products are the degree-d monomials in
+    them."""
+    return canring._Products(pipe.quotient, pipe._quartics())
 
 
 def _all_monomial_ranks(pipe, d_max):
     """h(d) as the rank of the products of every degree-d monomial in the
-    quartics, the formula used before spans were pruned to candidates."""
-    space = _quartic_products(pipe)
+    quartics, in their descent (RREF) order, the formula used before spans
+    were pruned to candidates and the quartics sorted."""
+    space = canring._Products(pipe.quotient, pipe.descend_polys(4))
     return {d: full_image(space, 4 * d)[1].rank for d in range(1, d_max + 1)}
 
 
