@@ -9,6 +9,7 @@ on products of fixed elements.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -51,6 +52,23 @@ def _candidates(ring: WeightedRing, m: int, pivots: dict[int, set[Monomial]]) ->
         else:
             out.append(beta)
     return out
+
+
+def _in_span(image: Echelon, j: int, start: int) -> Optional[dict[int, Fraction]]:
+    """The kernel vector of column j of `image` if that column lies in the
+    span of the columns before `start`, else None.
+
+    The pivot columns before `start` span those columns, and the pivot
+    columns are independent.  So column j lies in that span iff it is no
+    pivot and its kernel vector, nonzero only at pivot columns before j and
+    at j, has no key in [start, j); its entries before `start` are then
+    minus the unique combination of those pivot columns.
+    """
+    if j in image.pivot_columns:
+        return None
+    # one kernel vector per free column, in column order
+    vec = image.kernel()[j - bisect_left(image.pivot_columns, j)]
+    return None if any(start <= p < j for p in vec) else vec
 
 
 class _Products:
@@ -169,10 +187,12 @@ class Pipeline:
     the relations, prunes only from `_FIRST_RELATION_DEGREE` on, where the
     relations span the kernel.  A relation multiple is its relation's
     coordinates shifted by a monomial, read only at the monomials that are
-    no pivot of the reference image, the kernel's own coordinates.  A
-    membership or spanning check is the rank of the descend vectors with the
-    target or the pivot products, and a base-locus certificate is the one
-    kernel vector of the pivot products with a pure power.  The reference
+    no pivot of the reference image, the kernel's own coordinates.  Every
+    membership question is read off one elimination per degree by
+    `_in_span`, with the columns asked about after the spanning ones: the
+    reference check eliminates [descend vectors | pivot products | listed
+    generators], and the base-locus search [products | pure powers], whose
+    kernel vector of a member power is its certificate.  The reference
     generators' products, whose ring is the presentation ring, are set up
     with the pipeline.
     """
@@ -289,34 +309,40 @@ class Pipeline:
         return got
 
     def verify_reference(self) -> dict:
-        """Membership of each listed generator plus graded spanning checks."""
+        """Membership of each listed generator plus graded spanning checks.
+
+        Each degree from 2 to the horizon, and each degree of a listed
+        generator, eliminates [descend vectors | pivot products | listed
+        generators of that degree] once.  The k descend vectors are
+        independent, so the products span the degree-m piece iff their rank
+        and the rank of that elimination are both k; only the degrees from
+        2 to the horizon report it.  A listed generator is a product, so
+        never a pivot, and `_in_span` finds it in the span of the descend
+        vectors iff its kernel vector has no key among the pivot products.
+        """
         self.precompute_descend()
-        quotient = self.quotient
-
-        def within(d: int, extra: list[Column]) -> bool:
-            # the descend vectors are independent, so `extra` lies in their
-            # span iff adding it raises no rank
-            descend = self.descend_space(d)
-            return Echelon(descend + extra, len(quotient.degree_basis(d))).rank == len(descend)
-
         gens = self.reference_generators.generators
-        members = []
-        for idx, (poly, d) in enumerate(gens):
-            # the product with the generator's unit exponent, a column of
-            # the degree-d reference image
-            target = self._reference.column(tuple(int(j == idx) for j in range(len(gens))))
-            members.append({"index": idx, "degree": d, "polynomial": format_poly(poly),
-                            "member": within(d, [target])})
+        checked = range(2, self.max_degree + 1)
+        member: dict[int, bool] = {}
         spans = []
-        for m in range(2, self.max_degree + 1):
+        for m in sorted(set(checked).union(d for _, d in gens)):
             descend = self.descend_space(m)
+            k = len(descend)
             _, cols, image = self._reference_image(m)
-            # the pivot columns span every product
             pivots = [cols[j] for j in image.pivot_columns]
-            spans.append({"degree": m, "product_rank": image.rank,
-                          "dimension": len(descend),
-                          "spans": image.rank == len(descend)
-                          and within(m, pivots)})
+            listed = [idx for idx, (_, d) in enumerate(gens) if d == m]
+            # the product with each generator's unit exponent, a column of
+            # the degree-m reference image
+            targets = [self._reference.column(tuple(int(j == idx) for j in range(len(gens))))
+                       for idx in listed]
+            joint = Echelon(descend + pivots + targets, len(self.quotient.degree_basis(m)))
+            for t, idx in enumerate(listed):
+                member[idx] = _in_span(joint, k + len(pivots) + t, k) is not None
+            if m in checked:
+                spans.append({"degree": m, "product_rank": image.rank, "dimension": k,
+                              "spans": image.rank == k and joint.rank == k})
+        members = [{"index": idx, "degree": d, "polynomial": format_poly(poly),
+                    "member": member[idx]} for idx, (poly, d) in enumerate(gens)]
         ok = all(e["member"] for e in members) and all(e["spans"] for e in spans)
         return {"members": members, "spans": spans, "ok": ok}
 
@@ -576,19 +602,23 @@ class Pipeline:
         missing = [names[i] for i in range(self.ring.n) if i not in found]
         if missing:
             return {"verdict": "UNDECIDED", "bound": bound, "missing": missing}
-        certificates = []
-        for i in range(self.ring.n):
-            power, degree, combination = found[i]
-            certificates.append({"variable": names[i], "power": power,
-                                 "degree": degree, "combination": combination})
-        return {"verdict": "EMPTY", "bound": bound, "certificates": certificates}
+        return {"verdict": "EMPTY", "bound": bound,
+                "certificates": [found[i] for i in range(self.ring.n)]}
 
     def _power_search(self, gens: list[Poly], m: int, targets: list[int],
-                      bound: int) -> dict[int, tuple]:
+                      bound: int) -> dict[int, dict]:
         """Scan ideal slices for pure powers of the target variables.
 
-        Returns {variable index: (power, degree, combination)}; the
-        combination replays as a polynomial identity modulo the modulus.
+        Each degree d eliminates once the products of every degree-(d - m)
+        basis monomial and a generator, then the degree-d powers of the
+        variables still sought.  A power lies in the ideal slice iff
+        `_in_span` finds it in the span of the products, and then its kernel
+        vector is minus the canonical combination of the pivot products
+        (free coefficients zero).
+
+        Returns {variable index: certificate}, each the variable, its power,
+        the degree and the combination, which replays as a polynomial
+        identity modulo the modulus.
         """
         weights = self.ring.weights
         n = self.ring.n
@@ -596,7 +626,7 @@ class Pipeline:
         # products of a basis monomial and a generator, as monomials in the
         # ambient variables followed by the generators
         space = _Products(quotient, [self.ring.variable(i) for i in range(n)] + gens)
-        found: dict[int, tuple] = {}
+        found: dict[int, dict] = {}
         remaining = set(targets)
         for d in range(m, bound + 1):
             if not remaining:
@@ -608,29 +638,18 @@ class Pipeline:
                         for bmono in quotient.degree_basis(d - m)]
             monos = [bmono + tuple(int(j == gi) for j in range(len(gens)))
                      for bmono, gi in products]
-            width = len(quotient.degree_basis(d))
-            cols = space.columns(monos, d)
-            # the pivot columns are independent and span every product, so
-            # [pivot columns | target] has a kernel vector iff the target lies
-            # in the span, and then one, whose entries at the pivot columns
-            # are minus the canonical combination (free coefficients zero)
-            pivots = Echelon(cols, width).pivot_columns
-            for i in checkable:
-                k = d // weights[i]
-                # the variables are the first n elements
-                target = space.column(tuple(k if j == i else 0 for j in range(n)))
-                solve = Echelon([cols[j] for j in pivots] + [target], width)
-                if solve.rank > len(pivots):
+            # the variables are the first n elements
+            powers = [tuple(d // weights[i] if j == i else 0 for j in range(n)) for i in checkable]
+            image = Echelon(space.columns(monos + powers, d), len(quotient.degree_basis(d)))
+            for t, i in enumerate(checkable):
+                kvec = _in_span(image, len(monos) + t, len(monos))
+                if kvec is None:
                     continue
-                combination = []
-                for p, c in solve.kernel()[0].items():
-                    if p < len(pivots):
-                        bmono, gi = products[pivots[p]]
-                        combination.append({
-                            "coefficient": str(-c),
-                            "monomial": format_poly(Poly(self.ring, {bmono: 1})),
-                            "generator": gi,
-                        })
-                found[i] = (k, d, combination)
+                combination = [{"coefficient": str(-c),
+                                "monomial": format_poly(Poly(self.ring, {products[p][0]: 1})),
+                                "generator": products[p][1]}
+                               for p, c in kvec.items() if p < len(monos)]
+                found[i] = {"variable": self.ring.names[i], "power": d // weights[i], "degree": d,
+                            "combination": combination}
                 remaining.discard(i)
         return found

@@ -1,7 +1,9 @@
-"""Mechanisms of the graded pipeline: descent, product spaces, and the
-pruned eliminations behind generators, relations, the degree-9 form and the
-quartic spans, mostly against oracles that eliminate every monomial, plus
-work guards.  The paper's numbers are asserted in `test_acceptance.py`."""
+"""Mechanisms of the graded pipeline: descent, product spaces, the pruned
+eliminations behind generators, relations, the degree-9 form and the
+quartic spans, and the membership questions of the reference check and the
+base-locus search, mostly against oracles that eliminate every monomial or
+eliminate twice, plus work guards.  The paper's numbers are asserted in
+`test_acceptance.py`."""
 
 import io
 from contextlib import redirect_stdout
@@ -345,18 +347,29 @@ def swap_first_two(gens):
     return [gens[1], gens[0]] + gens[2:]
 
 
+def monomial_at(gens, i):
+    """`gens` with the entry at index i replaced by the first monomial of
+    its degree, which is no member of the canonical ring there."""
+    poly, d = gens[i]
+    return gens[:i] + [(Poly(poly.ring, {poly.ring.monomials(d)[0]: 1}), d)] + gens[i + 1:]
+
+
 class TestNonGenericReference:
     # a dependency among the degree-2 generators is no relation, since the
     # search starts at degree 4, so it must not prune the kernel's columns
-    @pytest.mark.parametrize("alter", [lambda g: repeat(g, 0), lambda g: repeat(g, 6),
-                                       swap_first_two],
-                             ids=["degree-2-repeated", "degree-4-repeated", "first-two-swapped"])
-    def test_matches_unpruned(self, alter):
+    @pytest.mark.parametrize("alter, outsiders", [
+        pytest.param(lambda g: repeat(g, 0), [], id="degree-2-repeated"),
+        pytest.param(lambda g: repeat(g, 6), [], id="degree-4-repeated"),
+        pytest.param(swap_first_two, [], id="first-two-swapped"),
+        pytest.param(lambda g: monomial_at(g, 0), [0], id="degree-2-non-member"),
+    ])
+    def test_matches_unpruned(self, alter, outsiders):
         instance = load_instance()
         instance.reference_generators = alter(list(instance.reference_generators))
         pipe = Pipeline(instance, max_degree=11)
         relations, ranks, report = unpruned_presentation(pipe)
         assert pipe.verify_reference() == report
+        assert [e["index"] for e in report["members"] if not e["member"]] == outsiders
         got = pipe.relations()
         assert [format_poly(p) for p, _ in got.relations] == relations
         assert got.ideal_ranks == ranks
@@ -542,3 +555,102 @@ class TestBaseLocus:
         with pytest.raises(ValueError):
             pipe.base_locus(1)
 
+
+    @pytest.mark.parametrize("bound", [9, 12, 16, 20])
+    def test_matches_two_stage_search(self, bound, monkeypatch):
+        # every pure-power verdict and certificate of one elimination per
+        # degree is that of the products' elimination followed by one more
+        # per power; a power can be free only through another power, and
+        # then it is no member
+        instance = load_instance()
+        instance.base_locus_witnesses = {}
+        instance.base_locus_bound = bound
+        fresh = Pipeline(instance)
+        through_power = 0
+        in_span = canring._in_span
+
+        def recording(image, j, start):
+            nonlocal through_power
+            got = in_span(image, j, start)
+            through_power += got is None and j not in image.pivot_columns
+            return got
+
+        monkeypatch.setattr(canring, "_in_span", recording)
+        for m in range(2, 8):
+            assert fresh.base_locus(m) == two_stage_base_locus(fresh, m, bound), m
+        assert through_power > 0
+
+
+def two_stage_base_locus(pipe, m, bound):
+    """Oracle for `Pipeline.base_locus` without a witness: per degree, the
+    pivot products of the ideal slice, then for each pure power a second
+    elimination of [pivot products | power], which has a kernel vector iff
+    the power lies in the slice; its entries at the pivot products are
+    minus the canonical combination."""
+    ring, quotient = pipe.ring, pipe.quotient
+    n = ring.n
+    gens = pipe.descend_polys(m)
+    space = canring._Products(quotient, [ring.variable(i) for i in range(n)] + gens)
+    found = {}
+    for d in range(m, bound + 1):
+        checkable = [i for i in range(n) if i not in found and d % ring.weights[i] == 0]
+        if not checkable:
+            continue
+        products = [(bmono, gi) for gi in range(len(gens)) for bmono in quotient.degree_basis(d - m)]
+        cols = space.columns([bmono + tuple(int(j == gi) for j in range(len(gens)))
+                              for bmono, gi in products], d)
+        width = len(quotient.degree_basis(d))
+        pivots = Echelon(cols, width).pivot_columns
+        for i in checkable:
+            k = d // ring.weights[i]
+            target = space.column(tuple(k if j == i else 0 for j in range(n)))
+            solve = Echelon([cols[j] for j in pivots] + [target], width)
+            if solve.rank > len(pivots):
+                continue
+            found[i] = {"variable": ring.names[i], "power": k, "degree": d, "combination": [
+                {"coefficient": str(-c),
+                 "monomial": format_poly(Poly(ring, {products[pivots[p]][0]: 1})),
+                 "generator": products[pivots[p]][1]}
+                for p, c in solve.kernel()[0].items() if p < len(pivots)]}
+    missing = [ring.names[i] for i in range(n) if i not in found]
+    if missing:
+        return {"verdict": "UNDECIDED", "bound": bound, "missing": missing}
+    return {"verdict": "EMPTY", "bound": bound, "certificates": [found[i] for i in range(n)]}
+
+
+class TestSpanQuestions:
+    def test_in_span_reads_the_prefix(self):
+        # columns e0, e1, e0 + e1, 2 e2, e2: the third lies in the span of
+        # the first two, the fifth only through the fourth, a pivot, and
+        # the fourth is a pivot itself
+        image = Echelon([{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 2}, {2: 1}], 3)
+        assert canring._in_span(image, 2, 2) == {0: -1, 1: -1, 2: 1}
+        assert canring._in_span(image, 3, 3) is None
+        assert canring._in_span(image, 4, 3) is None
+        assert canring._in_span(image, 4, 4) == {3: Fraction(-1, 2), 4: 1}
+
+    @pytest.mark.parametrize("args, golden, most", [
+        (["canring", "--format", "structured"], "canring.json", 84),
+        (["verify", "base-locus", "--format", "structured"], "verify-base-locus.json", 26),
+        (["verify", "paper-generators", "--format", "structured"],
+         "verify-paper-generators.json", 35),
+    ], ids=["canring", "base-locus", "paper-generators"])
+    def test_one_elimination_per_degree_guard(self, monkeypatch, args, golden, most):
+        # each membership or spanning question is read off one elimination
+        # per degree: 138, 67 and 48 `Echelon`s with a rank test per listed
+        # generator and a second elimination per pure power, 84, 26 and 35
+        # with one, and it must not rise
+        built = 0
+
+        class Counted(Echelon):
+            def __init__(self, columns, nrows):
+                nonlocal built
+                built += 1
+                super().__init__(columns, nrows)
+
+        monkeypatch.setattr(canring, "Echelon", Counted)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(args) == 0
+        assert out.getvalue().encode() == (GOLDEN / golden).read_bytes()
+        assert 0 < built <= most
