@@ -9,7 +9,6 @@ on products of fixed elements.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -66,8 +65,7 @@ def _in_span(image: Echelon, j: int, start: int) -> Optional[dict[int, Fraction]
     """
     if j in image.pivot_columns:
         return None
-    # one kernel vector per free column, in column order
-    vec = image.kernel()[j - bisect_left(image.pivot_columns, j)]
+    vec = image.kernel_vector(j)
     return None if any(start <= p < j for p in vec) else vec
 
 
@@ -77,9 +75,12 @@ class _Products:
 
     A product is an exponent over `ring`, whose variables T1, T2, ... have
     the elements' degrees.  Each column is the coordinates of the product's
-    normal form over the monomial basis of its degree, built once from a
-    cached product by one `HypersurfaceRing.times`; the cache keys drop
-    trailing zeros, so they survive `extend`.  From degree `floor` on,
+    normal form over the monomial basis of its degree, built once by one
+    `HypersurfaceRing.times` from the cached product without its preferred
+    factor; the cache keys drop trailing zeros, so they survive `extend`.
+    The preferred factor is the first present in one order per space: the
+    elements that do not `meets_lead`, which only re-index a column, then
+    fewer terms, then the later element.  From degree `floor` on,
     `eliminate` records the pivot products of each degree it eliminates,
     and later degrees eliminate only their `_candidates`.
     """
@@ -92,6 +93,7 @@ class _Products:
         # pivot products per eliminated degree from the floor on
         self.pivots: dict[int, set[Monomial]] = {}
         self._cache: dict[Monomial, Column] = {(): {0: 1}}
+        self._order: list[int] = []
         self.extend(elements)
 
     def extend(self, elements: Sequence[Poly]) -> None:
@@ -108,18 +110,24 @@ class _Products:
         for i in range(len(weights) - len(elements), len(weights)):
             if weights[i] in self.pivots:
                 self.pivots[weights[i]].add(tuple(int(j == i) for j in range(len(weights))))
+        self._order = sorted(range(len(weights)), key=lambda i: (
+            self.quotient.meets_lead(self.elements[i]), len(self.elements[i].coeffs), -i))
 
-    def column(self, beta: Sequence[int]) -> Column:
-        """The coordinate column of the product with exponent `beta`."""
+    def _column(self, beta: Monomial, degree: int) -> Column:
+        """The coordinate column of the product `beta`, of degree `degree`:
+        its preferred factor times the product without it, whose degree is
+        carried down the chain."""
         i = len(beta)
         while i and not beta[i - 1]:
             i -= 1
-        key = tuple(beta[:i])
+        key = beta[:i]
         got = self._cache.get(key)
         if got is None:
-            lower = key[:i - 1] + (key[i - 1] - 1,)
+            f = next(f for f in self._order if f < i and key[f])
+            lower = degree - self.ring.weights[f]
             got = self._cache[key] = self.quotient.times(
-                self.column(lower), self.ring.degree(lower), self.elements[i - 1])
+                self._column(key[:f] + (key[f] - 1,) + key[f + 1:], lower), lower,
+                self.elements[f])
         return got
 
     def columns(self, monos: Sequence[Monomial], degree: int) -> list[Column]:
@@ -128,7 +136,7 @@ class _Products:
             d = self.ring.degree(beta)
             if d != degree:
                 raise ValueError(f"degree mismatch: a product of degree {d}, not {degree}")
-        return [self.column(beta) for beta in monos]
+        return [self._column(tuple(beta), degree) for beta in monos]
 
     def eliminate(self, m: int, extra: Sequence[Column] = ()
                   ) -> tuple[list[Monomial], list[Column], Echelon]:
@@ -333,8 +341,8 @@ class Pipeline:
             listed = [idx for idx, (_, d) in enumerate(gens) if d == m]
             # the product with each generator's unit exponent, a column of
             # the degree-m reference image
-            targets = [self._reference.column(tuple(int(j == idx) for j in range(len(gens))))
-                       for idx in listed]
+            targets = self._reference.columns(
+                [tuple(int(j == idx) for j in range(len(gens))) for idx in listed], m)
             joint = Echelon(descend + pivots + targets, len(self.quotient.degree_basis(m)))
             for t, idx in enumerate(listed):
                 member[idx] = _in_span(joint, k + len(pivots) + t, k) is not None
@@ -493,7 +501,8 @@ class Pipeline:
         if dims[9] != 1:
             report["status"] = "FAIL"
             return report
-        form = Poly(zring, {monos[i]: c for i, c in nine.kernel()[0].items()})
+        (free,) = set(range(nine.ncols)).difference(nine.pivot_columns)
+        form = Poly(zring, {monos[i]: c for i, c in nine.kernel_vector(free).items()})
         lead = form.leading_coefficient()
         form = form.scale(Fraction(1) / Fraction(lead))
         report["computed_form"] = format_poly(form)

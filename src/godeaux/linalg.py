@@ -34,6 +34,7 @@ only the intermediate integers do.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -249,7 +250,8 @@ class Echelon:
     The matrix is given by its columns, each a {row index: entry} mapping
     over `nrows` rows; zero entries may be listed or left out, and the
     mappings are not modified.  The kernel is built on first use only, since
-    its back substitution costs as much again as the forward pass.
+    its back substitution costs as much again as the forward pass;
+    `kernel_vector` reads one of its vectors without it.
     """
 
     def __init__(self, columns: Sequence[Column], nrows: int):
@@ -281,6 +283,24 @@ class Echelon:
                 basis.append(vec)
             self._kernel = basis
         return self._kernel
+
+    def kernel_vector(self, j: int) -> dict[int, Fraction]:
+        """The vector x of `kernel()` for the free column j, without the back
+        substitution: 1 at j, zero at the other free columns, and solved in
+        integers (x = vec / scale) from the pivot rows before j, last first.
+        Each is zero before its pivot column c, and x is zero past j, so
+        row . x = 0 fixes x_c."""
+        if not 0 <= j < self.ncols or j in self.pivot_columns:
+            raise ValueError(f"column {j} is not a free column")
+        vec, scale = {j: 1}, 1
+        for c, row in reversed(self._pivots[:bisect_left(self.pivot_columns, j)]):
+            if s := sum(y * row[k] for k, y in vec.items() if k in row):
+                g = gcd(s, row[c])  # the pivot entry is positive
+                if (m := row[c] // g) != 1:
+                    scale *= m
+                    vec = {k: y * m for k, y in vec.items()}
+                vec[c] = -s // g
+        return {k: Fraction(y, scale) for k, y in sorted(vec.items())}
 
 
 def rank_of(rows: Iterable[Sequence[Number]], ncols: int) -> int:

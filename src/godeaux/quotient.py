@@ -68,6 +68,11 @@ class HypersurfaceRing:
                 out[basis[j]] = out.get(basis[j], 0) + c * v
         return Poly(self.ambient, out)
 
+    def meets_lead(self, element: Poly) -> bool:
+        """Whether a term of `element` shares a variable with lead; if none
+        does, lead divides b * t iff it divides b, so nothing reduces."""
+        return any(t[i] for t in element.coeffs for i, _ in self._lead_exponents)
+
     def times(self, column: Column, d: int, element: Poly) -> dict[int, Number]:
         """The coordinates {position in degree_basis(d + e): coefficient} of
         normal_form(x * element), for x given by its coordinates `column`
@@ -76,22 +81,26 @@ class HypersurfaceRing:
         Multiplication by a monomial t is linear on S/f, so the product is
         read off one table per term of `element`: the memoized normal form
         of b * t for each basis monomial b of degree d (see `_shift_table`).
-        Coefficients follow `Poly`'s rule: a value equal to an integer is an
-        int, and zeros are dropped.
+        When the element does not `meets_lead`, every entry is one
+        (position, 1) pair, so the product only re-indexes the column, and
+        a single such term does it in one pass.  Coefficients follow
+        `Poly`'s rule: an integer value is an int, and zeros are dropped.
         """
         if element.ring != self.ambient:
             raise ValueError("polynomial from a different ring")
         if element.is_zero:
             raise ValueError("element must be nonzero")
+        shifts = [(self._shift_table(t, d), c) for t, c in element.coeffs.items()]
+        if any(e != shifts[0][0][0] for (e, _), _ in shifts):
+            raise ValueError("element must be homogeneous")
+        if len(shifts) == 1 and not self.meets_lead(element):
+            # x and c are nonzero, so no product is zero
+            ((_, table), c), = shifts
+            return {table[i][0][0]: v if type(v := x * c) is int else _norm_coeff(v)
+                    for i, x in column.items()}
         out: dict[int, Number] = {}
         get = out.get
-        degree = None
-        for t, c in element.coeffs.items():
-            e, table = self._shift_table(t, d)
-            if degree is None:
-                degree = e
-            elif e != degree:
-                raise ValueError("element must be homogeneous")
+        for (_, table), c in shifts:
             for i, x in column.items():
                 xc = x * c
                 for j, v in table[i]:
@@ -145,8 +154,9 @@ class HypersurfaceRing:
             raise ValueError("degree must be nonnegative")
         cached = self._basis_cache.get(d)
         if cached is None:
-            cached = tuple(m for m in self.ambient.monomials(d) if not self._reducible(m))
-            self._basis_cache[d] = cached
+            # not `ambient.monomials`, whose cache would keep the reducible ones
+            monos = self.ambient._ascending(self.ambient.n - 1, d, {})
+            cached = self._basis_cache[d] = tuple(m for m in monos if not self._reducible(m))
         return cached
 
     def coefficient_vector(self, p: Poly, d: int) -> list[Number]:

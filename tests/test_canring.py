@@ -6,6 +6,7 @@ eliminate twice, plus work guards.  The paper's numbers are asserted in
 `test_acceptance.py`."""
 
 import io
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -108,6 +109,72 @@ class TestProducts:
                                  pipe.ring.one())
                 expected = quotient.sparse_coordinates(quotient.normal_form(value), 4 * d)
                 assert space.columns([beta], 4 * d) == [expected]
+
+    @pytest.mark.parametrize("stage", ["tricanonical", "power-search"])
+    def test_stage_columns_are_normal_form_coordinates(self, monkeypatch, stage):
+        # a sample of every product a stage builds, through whichever factor
+        # comes first in its space's order, per degree up to 27 for the
+        # gammas: each column is the coordinates of the normal form of the
+        # evaluated product
+        spaces = []
+
+        class Recorded(canring._Products):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spaces.append(self)
+
+        monkeypatch.setattr(canring, "_Products", Recorded)
+        fresh = Pipeline(load_instance())
+        if stage == "tricanonical":
+            assert fresh.tricanonical()["status"] == "OK"
+        else:
+            # R_2 has a base point, so no pure power is found and every
+            # degree up to the bound is built
+            assert fresh._power_search(fresh.descend_polys(2), 2, [0, 1, 2, 3], 12) == {}
+        quotient = fresh.quotient
+        zero, one = fresh.ring.zero(), fresh.ring.one()
+        rng = random.Random(69)
+        checked = set()
+        for space in spaces:
+            by_degree = {}
+            for key in sorted(space._cache):
+                beta = key + (0,) * (space.ring.n - len(key))
+                by_degree.setdefault(space.ring.degree(beta), []).append(beta)
+            for d, betas in sorted(by_degree.items()):
+                for beta in rng.sample(betas, min(6, len(betas))):
+                    value = evaluate(Poly(space.ring, {beta: 1}), space.elements, zero, one)
+                    expected = quotient.sparse_coordinates(quotient.normal_form(value), d)
+                    assert space.columns([beta], d) == [expected]
+                    checked.add(d)
+        assert max(checked) == (27 if stage == "tricanonical" else 12)
+
+    @pytest.mark.parametrize("stage, most", [("canring", 149), ("fourcanonical", 83),
+                                             ("tricanonical", 9)])
+    def test_reducing_products_guard(self, monkeypatch, stage, most):
+        # a product is built through a factor whose terms miss z, the
+        # variable of lead(f) = z^2, whenever it has one, and such a factor
+        # only re-indexes; through the last factor 965, 565 and 45 products
+        # met z, and the count must not rise
+        reducing = 0
+        times = HypersurfaceRing.times
+
+        def counted(self, column, d, element):
+            nonlocal reducing
+            lead = [v for v, e in enumerate(self.lead) if e]
+            reducing += any(t[v] for t in element.coeffs for v in lead)
+            return times(self, column, d, element)
+
+        monkeypatch.setattr(HypersurfaceRing, "times", counted)
+        if stage == "canring":
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(["canring", "--format", "structured"]) == 0
+            assert out.getvalue().encode() == (GOLDEN / "canring.json").read_bytes()
+        elif stage == "fourcanonical":
+            assert Pipeline(load_instance()).fourcanonical(d_max=6)["h"][6] == 276
+        else:
+            assert Pipeline(load_instance()).tricanonical()["status"] == "OK"
+        assert 0 < reducing <= most
 
     def test_columns_refuse_a_degree_their_products_lack(self, pipe):
         space = _quartic_products(pipe)
@@ -603,7 +670,7 @@ def two_stage_base_locus(pipe, m, bound):
         pivots = Echelon(cols, width).pivot_columns
         for i in checkable:
             k = d // ring.weights[i]
-            target = space.column(tuple(k if j == i else 0 for j in range(n)))
+            target = space.columns([tuple(k if j == i else 0 for j in range(n))], d)[0]
             solve = Echelon([cols[j] for j in pivots] + [target], width)
             if solve.rank > len(pivots):
                 continue

@@ -494,6 +494,24 @@ class TestKernelOracle:
         assert prow == prow_before
 
     @ORACLE
+    @example(([[1, 2, 0, 3], [0, 0, 1, 5]], 4))
+    @given(matrices())
+    def test_kernel_vector_matches_kernel(self, matrix):
+        # a free column's vector solved from the forward pivot rows is that
+        # column's `kernel()` vector, entries and key order alike, and it is
+        # the same read again from the back-substituted rows
+        rows, ncols = matrix
+        echelon = Echelon(columns_of(rows, ncols), len(rows))
+        free = [j for j in range(ncols) if j not in echelon.pivot_columns]
+        read = [list(echelon.kernel_vector(j).items()) for j in free]
+        assert read == [list(v.items()) for v in echelon.kernel()]
+        assert read == [list(echelon.kernel_vector(j).items()) for j in free]
+        assert all(type(x) is F and x for vec in read for _, x in vec)
+        for j in echelon.pivot_columns + (-1, ncols):
+            with pytest.raises(ValueError, match="not a free column"):
+                echelon.kernel_vector(j)
+
+    @ORACLE
     @given(matrices())
     def test_echelon_and_rref(self, matrix):
         rows, ncols = matrix

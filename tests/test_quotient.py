@@ -230,6 +230,56 @@ class TestVectors:
         assert from_z is from_x1z
 
 
+class TestReindexing:
+    """`times` by an element whose terms all miss z, the variable of
+    lead(f) = z^2, re-indexes the column: every table entry is one
+    (position, 1) pair, and nothing is reduced."""
+
+    @pytest.mark.parametrize("text", ["x1", "x1*x2^2*y", "3/2*x1^2", "x2*y+x1*y",
+                                      "y-x2^2-x1^2", "x1^4-2/3*x1*x2*y+y^2"],
+                             ids=["variable", "monomial", "fraction-term", "two-terms",
+                                  "three-terms", "fraction-sum"])
+    def test_matches_normal_form(self, ring, text):
+        fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3-(x1-x2)*y*z+x1^5*x2+x1*x2^5", ring))
+        element = parse_poly(text, ring)
+        e = element.homogeneous_degree()
+        rng = random.Random(67)
+        samples = []
+        for d in range(12):
+            basis = fresh.degree_basis(d)
+            for _ in range(4):
+                column = {i: rng.choice([rng.randint(1, 5), -rng.randint(1, 5),
+                                         F(rng.randint(-5, 5) or 1, rng.randint(2, 4))])
+                          for i in rng.sample(range(len(basis)), min(5, len(basis)))}
+                x = Poly(ring, {basis[i]: c for i, c in column.items()})
+                samples.append((d, column, fresh.sparse_coordinates(
+                    fresh.normal_form(x * element), d + e)))
+
+        def refuse(*args):
+            raise AssertionError("a re-indexing reduced a monomial")
+
+        fresh._entry = refuse
+        for d, column, expected in samples:
+            got = fresh.times(column, d, element)
+            assert got == expected
+            assert all(type(c) is int or c.denominator != 1 for c in got.values())
+            assert all(got.values())
+        assert all(len(entry) == 1 and entry[0][1] == 1
+                   for _, table in fresh._shift_cache.values() for entry in table)
+
+    @pytest.mark.parametrize("var, mixed", [("x1", "x1 + y"), ("z", "z + y")],
+                             ids=["re-indexing", "table"])
+    def test_refusals_match_the_table_path(self, quotient, ring, var, mixed):
+        column = {0: 1}
+        with pytest.raises(ValueError, match="nonzero"):
+            quotient.times(column, 1, ring.zero())
+        with pytest.raises(ValueError, match="homogeneous"):
+            quotient.times(column, 1, parse_poly(mixed, ring))
+        other = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 4])
+        with pytest.raises(ValueError, match="different ring"):
+            quotient.times(column, 1, other.variable(var))
+
+
 # -- oracle: the memoized rewrite against generic division --------------
 
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
