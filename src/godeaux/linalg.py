@@ -251,7 +251,9 @@ class Echelon:
     over `nrows` rows; zero entries may be listed or left out, and the
     mappings are not modified.  The kernel is built on first use only, since
     its back substitution costs as much again as the forward pass;
-    `kernel_vector` reads one of its vectors without it.
+    `kernel_vector` reads one of its vectors without it, which is cheaper
+    for a reader of a few vectors, and dearer, vector for vector, for a
+    reader of most of them.
     """
 
     def __init__(self, columns: Sequence[Column], nrows: int):

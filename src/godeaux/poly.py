@@ -77,13 +77,19 @@ class WeightedRing:
         return (self.degree(mono), mono[::-1])
 
     def monomials(self, d: int) -> tuple[Monomial, ...]:
-        """All monomials of weighted degree d, ascending in the monomial order."""
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
+        """All monomials of weighted degree d, ascending in the monomial
+        order: `enumerate_monomials(d)`, kept for the next call."""
         cached = self._mono_cache.get(d)
         if cached is None:
-            cached = self._mono_cache[d] = tuple(self._ascending(self.n - 1, d, {}))
+            cached = self._mono_cache[d] = tuple(self.enumerate_monomials(d))
         return cached
+
+    def enumerate_monomials(self, d: int) -> list[Monomial]:
+        """The monomials of `monomials(d)`, built anew and not kept, for a
+        caller that keeps only some of them."""
+        if d < 0:
+            raise ValueError("degree must be nonnegative")
+        return self._ascending(self.n - 1, d, {})
 
     def _ascending(self, i: int, remaining: int, memo: dict) -> list[Monomial]:
         """The monomials in the first i + 1 variables of weighted degree

@@ -94,7 +94,8 @@ class HypersurfaceRing:
         if any(e != shifts[0][0][0] for (e, _), _ in shifts):
             raise ValueError("element must be homogeneous")
         if len(shifts) == 1 and not self.meets_lead(element):
-            # x and c are nonzero, so no product is zero
+            # the table loop below gives the same, more slowly; x and c are
+            # nonzero, so no product is zero
             ((_, table), c), = shifts
             return {table[i][0][0]: v if type(v := x * c) is int else _norm_coeff(v)
                     for i, x in column.items()}
@@ -150,13 +151,11 @@ class HypersurfaceRing:
         return True
 
     def degree_basis(self, d: int) -> tuple[Monomial, ...]:
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
         cached = self._basis_cache.get(d)
         if cached is None:
             # not `ambient.monomials`, whose cache would keep the reducible ones
-            monos = self.ambient._ascending(self.ambient.n - 1, d, {})
-            cached = self._basis_cache[d] = tuple(m for m in monos if not self._reducible(m))
+            cached = self._basis_cache[d] = tuple(
+                m for m in self.ambient.enumerate_monomials(d) if not self._reducible(m))
         return cached
 
     def coefficient_vector(self, p: Poly, d: int) -> list[Number]:

@@ -94,14 +94,16 @@ def rings_and_degrees(draw):
 
 
 class TestEnumerationOracle:
-    # `monomials` builds its order directly; the reference sorts every
-    # exponent tuple of the degree by the order's key
+    # `monomials` and `enumerate_monomials` build their order directly; the
+    # reference sorts every exponent tuple of the degree by the order's key
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(rings_and_degrees())
     def test_monomials_match_sorted_brute_force(self, case):
         ring, d = case
         box = product(*(range(d // w + 1) for w in ring.weights))
         expected = sorted((m for m in box if ring.degree(m) == d), key=ring.sort_key)
+        assert ring.enumerate_monomials(d) == expected
+        assert d not in ring._mono_cache
         got = ring.monomials(d)
         assert type(got) is tuple
         assert list(got) == expected

@@ -136,6 +136,17 @@ class TestDimensions:
             for m in quotient.degree_basis(d):
                 assert m[3] <= 1
 
+    def test_basis_leaves_the_ambient_monomial_cache_empty(self):
+        # a fresh ambient ring: the module's ring is shared with tests that
+        # fill its cache
+        ambient = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 3])
+        fresh = HypersurfaceRing(ambient, parse_poly("z^2+y^3+x1^6+x2^6", ambient))
+        bases = [fresh.degree_basis(d) for d in range(16)]
+        assert not ambient._mono_cache
+        assert bases == [tuple(m for m in ambient.monomials(d) if m[3] <= 1) for d in range(16)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            fresh.degree_basis(-1)
+
 
 class TestVectors:
     def test_round_trip(self, quotient):
