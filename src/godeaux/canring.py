@@ -53,6 +53,19 @@ def _candidates(ring: WeightedRing, m: int, pivots: dict[int, set[Monomial]]) ->
     return out
 
 
+def _unit(n: int, i: int) -> Monomial:
+    """The exponent of the i-th of n variables."""
+    return tuple(int(j == i) for j in range(n))
+
+
+def _eliminate(quotient: HypersurfaceRing, columns: Sequence[Column], degree: int) -> Echelon:
+    """The elimination of `columns`, coordinates over the monomial basis of
+    the degree-`degree` piece of S/f.  It takes columns, not a `_Products`,
+    so a caller can drop the products before the elimination runs (see
+    `tricanonical`)."""
+    return Echelon(columns, len(quotient.degree_basis(degree)))
+
+
 def _in_span(image: Echelon, j: int, start: int) -> Optional[dict[int, Fraction]]:
     """The kernel vector of column j of `image` if that column lies in the
     span of the columns before `start`, else None.
@@ -71,7 +84,8 @@ def _in_span(image: Echelon, j: int, start: int) -> Optional[dict[int, Fraction]
 
 class _Products:
     """The monomial products of a growable list of homogeneous elements of
-    S/f, as coordinate columns, and their eliminations degree by degree.
+    S/f, as coordinate columns, and their eliminations degree by degree,
+    each built by `_eliminate`.
 
     A product is an exponent over `ring`, whose variables T1, T2, ... have
     the elements' degrees.  Each column is the coordinates of the product's
@@ -109,7 +123,7 @@ class _Products:
         self.ring = WeightedRing([f"T{i + 1}" for i in range(len(weights))], weights)
         for i in range(len(weights) - len(elements), len(weights)):
             if weights[i] in self.pivots:
-                self.pivots[weights[i]].add(tuple(int(j == i) for j in range(len(weights))))
+                self.pivots[weights[i]].add(_unit(len(weights), i))
         self._order = sorted(range(len(weights)), key=lambda i: (
             self.quotient.meets_lead(self.elements[i]), len(self.elements[i].coeffs), -i))
 
@@ -144,37 +158,22 @@ class _Products:
         those columns followed by the `extra` ones."""
         cands = _candidates(self.ring, m, self.pivots)
         cols = self.columns(cands, m)
-        image = Echelon(cols + list(extra), len(self.quotient.degree_basis(m)))
+        image = _eliminate(self.quotient, cols + list(extra), m)
         if m >= self.floor:
             self.pivots[m] = {cands[j] for j in image.pivot_columns if j < len(cols)}
         return cands, cols, image
 
 
 @dataclass
-class GeneratorSet:
-    generators: list[tuple[Poly, int]]
-
-    def degrees(self) -> list[int]:
-        return [d for _, d in self.generators]
-
-    def polynomials(self) -> list[Poly]:
-        return [p for p, _ in self.generators]
-
-
-@dataclass
 class RelationSet:
-    ring: WeightedRing
+    # each relation over the presentation ring, with its degree
     relations: list[tuple[Poly, int]]
-    horizon: int
     # rank of the relation-ideal slice, per degree up to the horizon
     ideal_ranks: dict[int, int]
 
-    def degrees(self) -> list[int]:
-        return [d for _, d in self.relations]
-
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for d in self.degrees():
+        for _, d in self.relations:
             out[d] = out.get(d, 0) + 1
         return out
 
@@ -183,9 +182,12 @@ class Pipeline:
     """All graded computations for one instance, with shared caches.
 
     Every vector is a sparse {position: entry} mapping, and every matrix is
-    eliminated by one `Echelon` and read off it.  Each descent space is
-    read off one kernel (`descend_space`), over the residues of the basis
-    monomials, each a memoised residue times one residue image.  Every
+    eliminated by one `Echelon` and read off it.  Three functions build
+    them: `_eliminate` every one over a graded piece of S/f, `descend_space`
+    the descent's over the curve ring, and `relations` its own over the
+    kernel's coordinates.  Each descent space is read off one kernel
+    (`descend_space`), over the residues of the basis monomials, each a
+    memoised residue times one residue image.  Every
     product of elements of S/f (the generators, the reference generators,
     the quartics, the tricanonical gammas, the base-locus ideal) is a column
     of a `_Products`, and its `eliminate` gives the rank, the pivot columns
@@ -202,7 +204,8 @@ class Pipeline:
     generators], and the base-locus search [products | pure powers], whose
     kernel vector of a member power is its certificate.  The reference
     generators' products, whose ring is the presentation ring, are set up
-    with the pipeline.
+    with the pipeline.  A generator list, the instance's reference list or
+    the computed one, is a list of (polynomial, degree) pairs.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -213,9 +216,9 @@ class Pipeline:
         self._descend: dict[int, list[Column]] = {}
         self._descend_polys: dict[int, list[Poly]] = {}
         self._residues = {(0,) * self.ring.n: instance.curve.one()}
-        self._computed: Optional[GeneratorSet] = None
-        self.reference_generators = GeneratorSet(list(instance.reference_generators))
-        self._reference = _Products(self.quotient, self.reference_generators.polynomials(),
+        self._computed: Optional[list[tuple[Poly, int]]] = None
+        self.reference_generators = instance.reference_generators
+        self._reference = _Products(self.quotient, [p for p, _ in self.reference_generators],
                                     _FIRST_RELATION_DEGREE)
         self.presentation_ring = self._reference.ring
         self._reference_images: dict[int, tuple[list[Monomial], list[Column], Echelon]] = {}
@@ -262,9 +265,6 @@ class Pipeline:
         self._descend[m] = rows
         return rows
 
-    def descend_dimension(self, m: int) -> int:
-        return len(self.descend_space(m))
-
     def descend_polys(self, m: int) -> list[Poly]:
         cached = self._descend_polys.get(m)
         if cached is None:
@@ -280,10 +280,11 @@ class Pipeline:
 
     # -- generators ------------------------------------------------------
 
-    def minimal_generators(self) -> GeneratorSet:
+    def minimal_generators(self) -> list[tuple[Poly, int]]:
         """Greedy degree-by-degree complement of the product span: the new
         generators of degree m are the descend vectors whose columns are
-        pivots of [products | descend vectors].
+        pivots of [products | descend vectors].  Returns each generator with
+        its degree, in the order found; the product space is dropped.
 
         The products are the `_candidates` of the generators so far, and
         each new generator is a pivot of its degree: a product with any
@@ -298,7 +299,7 @@ class Pipeline:
                 _, cols, image = space.eliminate(m, vectors)
                 space.extend([self.descend_polys(m)[j - len(cols)]
                               for j in image.pivot_columns if j >= len(cols)])
-        self._computed = GeneratorSet(list(zip(space.elements, space.ring.weights)))
+        self._computed = list(zip(space.elements, space.ring.weights))
         return self._computed
 
     def _reference_image(self, m: int) -> tuple[list[Monomial], list[Column], Echelon]:
@@ -329,7 +330,7 @@ class Pipeline:
         vectors iff its kernel vector has no key among the pivot products.
         """
         self.precompute_descend()
-        gens = self.reference_generators.generators
+        gens = self.reference_generators
         checked = range(2, self.max_degree + 1)
         member: dict[int, bool] = {}
         spans = []
@@ -341,9 +342,8 @@ class Pipeline:
             listed = [idx for idx, (_, d) in enumerate(gens) if d == m]
             # the product with each generator's unit exponent, a column of
             # the degree-m reference image
-            targets = self._reference.columns(
-                [tuple(int(j == idx) for j in range(len(gens))) for idx in listed], m)
-            joint = Echelon(descend + pivots + targets, len(self.quotient.degree_basis(m)))
+            targets = self._reference.columns([_unit(len(gens), idx) for idx in listed], m)
+            joint = _eliminate(self.quotient, descend + pivots + targets, m)
             for t, idx in enumerate(listed):
                 member[idx] = _in_span(joint, k + len(pivots) + t, k) is not None
             if m in checked:
@@ -357,7 +357,10 @@ class Pipeline:
     # -- relations -------------------------------------------------------
 
     def relations(self) -> RelationSet:
-        """Minimal relations against the reference generator list.
+        """Minimal relations against the reference generator list: each a
+        polynomial over the presentation ring with its degree, and the rank
+        of the ideal slice per degree from `_FIRST_RELATION_DEGREE` to the
+        horizon.
 
         In each degree m the multiples of the relations found so far span
         the ideal slice, a subspace of the kernel of the product map.  One
@@ -425,7 +428,7 @@ class Pipeline:
                     rels.append((poly.content_normalized(), m))
                     kept.append({})
             ideal_ranks[m] = joint.rank
-        self._relations = RelationSet(tring, rels, self.max_degree, ideal_ranks)
+        self._relations = RelationSet(rels, ideal_ranks)
         return self._relations
 
     # -- Hilbert consistency --------------------------------------------
@@ -454,9 +457,9 @@ class Pipeline:
         rels = self.relations()
         out = []
         for m in range(self.max_degree + 1):
-            a = self.descend_dimension(m)
+            a = len(self.descend_space(m))
             b = self.expected_dimension(m)
-            c = len(rels.ring.monomials(m)) - rels.ideal_ranks.get(m, 0)
+            c = len(self.presentation_ring.monomials(m)) - rels.ideal_ranks.get(m, 0)
             out.append({"degree": m, "descend": a, "expected": b,
                         "presentation": c, "agree": a == b == c})
         return out
@@ -480,15 +483,15 @@ class Pipeline:
         inst = self.instance
         zring = inst.tricanonical_ring
         nvars = zring.n
-        gens = self.reference_generators.generators
+        gens = self.reference_generators
         gammas = [gens[i][0] for i in inst.tricanonical_indices]
         gdeg = gens[inst.tricanonical_indices[0]][1]
         monos = zring.monomials(9)
         # the products of every lower degree are built on the way to the
         # degree-9 columns and dropped before the elimination; the lower
         # degrees build them again only when they are eliminated too
-        nine = Echelon(_Products(self.quotient, gammas).columns(monos, gdeg * 9),
-                       len(self.quotient.degree_basis(gdeg * 9)))
+        nine = _eliminate(self.quotient, _Products(self.quotient, gammas).columns(monos, gdeg * 9),
+                          gdeg * 9)
         dims = dict.fromkeys(range(1, 10), 0)
         dims[9] = nine.ncols - nine.rank
         if dims[9] != 1 or nvars == 1:
@@ -645,11 +648,10 @@ class Pipeline:
                 continue
             products = [(bmono, gi) for gi in range(len(gens))
                         for bmono in quotient.degree_basis(d - m)]
-            monos = [bmono + tuple(int(j == gi) for j in range(len(gens)))
-                     for bmono, gi in products]
+            monos = [bmono + _unit(len(gens), gi) for bmono, gi in products]
             # the variables are the first n elements
             powers = [tuple(d // weights[i] if j == i else 0 for j in range(n)) for i in checkable]
-            image = Echelon(space.columns(monos + powers, d), len(quotient.degree_basis(d)))
+            image = _eliminate(quotient, space.columns(monos + powers, d), d)
             for t, i in enumerate(checkable):
                 kvec = _in_span(image, len(monos) + t, len(monos))
                 if kvec is None:

@@ -112,8 +112,9 @@ def _run_canring(args) -> tuple[int, dict, list[str]]:
     four = pipe.fourcanonical()
     computed = pipe.minimal_generators()
     verified = pipe.verify_reference()["ok"]
-    # relations need the full degree horizon, so they are skipped below 10
-    rels = pipe.relations() if pipe.max_degree >= 10 else None
+    # the Hilbert counts read the relation search's ideal ranks, so it runs
+    # at every horizon
+    rels = pipe.relations()
     hilbert = pipe.hilbert_consistency()
     base = _base_loci(pipe)
 
@@ -126,16 +127,18 @@ def _run_canring(args) -> tuple[int, dict, list[str]]:
             return [_skip(name, f"max degree below {top}")]
         return _expect(name, stated, got, detail)
 
-    degrees = computed.degrees()
-    codimension = len(computed.generators) - 3
-    if rels is None:
+    degrees = [d for _, d in computed]
+    codimension = len(computed) - 3
+    # below 10 the horizon cannot see every relation, so only the relation
+    # report and its profile check are skipped
+    if pipe.max_degree < 10:
         reason = "max degree below 10"
         relations = {"status": "SKIPPED", "reason": reason}
         relation_checks = [_skip("relation-profile", reason)]
         relation_line = f"relations: SKIPPED ({reason})"
     else:
         counts, total = rels.counts(), len(rels.relations)
-        relations = {"counts": _str_keys(counts), "total": total, "horizon": rels.horizon,
+        relations = {"counts": _str_keys(counts), "total": total, "horizon": pipe.max_degree,
                      "polynomials": [format_poly(p) for p, _ in rels.relations]}
         relation_checks = _expect("relation-profile", expected.get("relation_degrees"),
                                   relations["counts"], f"total {total}")
@@ -155,9 +158,9 @@ def _run_canring(args) -> tuple[int, dict, list[str]]:
         "max_degree": pipe.max_degree,
         "generators": {
             "computed": {"degrees": degrees,
-                         "polynomials": [format_poly(p) for p in computed.polynomials()]},
-            "reference": {"degrees": reference.degrees(),
-                          "polynomials": [format_poly(p) for p in reference.polynomials()],
+                         "polynomials": [format_poly(p) for p, _ in computed]},
+            "reference": {"degrees": [d for _, d in reference],
+                          "polynomials": [format_poly(p) for p, _ in reference],
                           "verified": verified},
         },
         "relations": relations,

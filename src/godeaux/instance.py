@@ -117,8 +117,11 @@ class Instance:
             get(tri, "reference_form", str, "tricanonical"), self.tricanonical_ring)
 
         bl = get(raw, "base_locus", dict)
-        self.base_locus_bound = get(bl, "degree_bound", int, "base_locus")
-        self.nonempty_evidence_bound = get(bl, "nonempty_evidence_bound", int, "base_locus")
+        for key in ("degree_bound", "nonempty_evidence_bound"):
+            if get(bl, key, int, "base_locus") < 0:
+                raise ValueError(f"base_locus.{key} must be nonnegative, got {bl[key]}")
+        self.base_locus_bound = bl["degree_bound"]
+        self.nonempty_evidence_bound = bl["nonempty_evidence_bound"]
         self.base_locus_witnesses = dict(
             _parse_witness(k, v, self.ring.n)
             for k, v in get(bl, "witnesses", dict, "base_locus", {}).items())

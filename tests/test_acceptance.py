@@ -35,14 +35,14 @@ def _criterion(number: int, description: str, ok: bool) -> None:
 def _relation_defects(pipe):
     """Indices of relations that fail the independent substitution check:
     evaluated at the reference generators, the relation is not zero mod f."""
-    gens = pipe.reference_generators.polynomials()
+    gens = [p for p, _ in pipe.reference_generators]
     return [i for i, (rpoly, _) in enumerate(pipe.relations().relations)
             if not pipe.quotient.normal_form(
                 evaluate(rpoly, gens, pipe.ring.zero(), pipe.ring.one())).is_zero]
 
 
 def test_criterion_01_generator_profile(pipe):
-    degrees = pipe.minimal_generators().degrees()
+    degrees = [d for _, d in pipe.minimal_generators()]
     report = pipe.verify_reference()
     ok = (
         degrees == GENERATOR_DEGREES
@@ -58,7 +58,7 @@ def test_criterion_01_generator_profile(pipe):
 def test_criterion_02_relation_profile(pipe):
     rels = pipe.relations()
     ok = (
-        len(rels.degrees()) == 54
+        len(rels.relations) == 54
         and rels.counts() == RELATION_COUNTS
         and _relation_defects(pipe) == []
     )
@@ -254,7 +254,7 @@ def test_criterion_07_fourcanonical(pipe):
 
 
 def test_criterion_08_generation_bound(pipe):
-    degrees = pipe.minimal_generators().degrees()
+    degrees = [d for _, d in pipe.minimal_generators()]
     ok = pipe.max_degree >= 10 and max(degrees) <= 5
     _criterion(8, "no new generators in degrees 6 through 10; everything is "
                   "generated in degree at most 5", ok)
@@ -264,7 +264,7 @@ def test_criterion_09_topology():
     data = load_topology_data()
     hom = homology(data["chain_model"])
     presentation = data["presentation"]
-    certificate = tietze_trivialize(presentation, budget=1000)
+    certificate = tietze_trivialize(presentation)
     ok = (
         [g.as_pair() for g in hom] == [[1, []], [0, []], [9, []], [1, []], [1, []]]
         and abelianization(presentation).is_trivial

@@ -321,6 +321,10 @@ class TestInputErrors:
          "tricanonical.variables: bad variable name: '1bad'"),
         (["canring"], shipped_with(("ring", "weights", 0), 0),
          "ring: weights must be positive integers, got 0"),
+        (["verify", "base-locus"], shipped_with(("base_locus", "degree_bound"), -3),
+         "base_locus.degree_bound must be nonnegative, got -3"),
+        (["verify", "base-locus"], shipped_with(("base_locus", "nonempty_evidence_bound"), -5),
+         "base_locus.nonempty_evidence_bound must be nonnegative, got -5"),
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
             "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
             "boolean-relator-letter", "boolean-weight", "boolean-node-preimages",
@@ -328,7 +332,7 @@ class TestInputErrors:
             "tricanonical-form-unfinished", "curve-factor-duplicate-name",
             "residue-image-unequal-degrees", "tau-generator-unknown-variable",
             "witness-key-not-an-integer", "ring-duplicate-name", "tricanonical-bad-name",
-            "ring-zero-weight"])
+            "ring-zero-weight", "negative-degree-bound", "negative-evidence-bound"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):
         # each of these once crashed mid-run with a traceback, printed a bare
         # field name or read a boolean as 0 or 1; the loader now refuses

@@ -80,3 +80,25 @@ def test_canring_reads_no_dense_linear_algebra():
             else:
                 continue
             assert not used, f"{path.name}:{node.lineno} reads {used} from linalg"
+
+
+def test_canring_builds_echelon_in_three_functions():
+    # every elimination over a graded piece of S/f is built by `_eliminate`;
+    # the descent's curve-ring kernel and the relation search, over the
+    # kernel's own coordinates, build theirs; a recorder of eliminations
+    # then needs these three hooks only
+    builders = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "Echelon":
+                builders.add(where)
+            visit(child, where)
+
+    (path,) = (p for p in SOURCES if p.name == "canring.py")
+    visit(_tree(path), None)
+    assert builders == {"_eliminate", "descend_space", "relations"}

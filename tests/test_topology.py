@@ -347,9 +347,13 @@ class TestTietze:
         cert = tietze_trivialize(GroupPresentation(("a",), ()))
         assert cert["status"] == "UNKNOWN"
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            tietze_trivialize(GroupPresentation((), ()), budget=0)
+    def test_budget_exhausted_stays_unknown(self, shipped, monkeypatch):
+        # the flagship needs three steps; two leave it unfinished
+        monkeypatch.setattr(topology, "TIETZE_BUDGET", 2)
+        cert = tietze_trivialize(shipped["presentation"])
+        assert cert == {"status": "UNKNOWN", "reason": "budget exhausted",
+                        "steps": cert["steps"]}
+        assert [s["op"] for s in cert["steps"]] == ["reduce", "eliminate"]
 
     def test_replayer_rejects_tampering(self, shipped):
         cert = tietze_trivialize(shipped["presentation"])
