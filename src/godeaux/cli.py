@@ -86,9 +86,10 @@ def _base_loci(pipe: Pipeline) -> dict:
     return {f"m{m}": pipe.base_locus(m) for m in _BASE_LOCUS_DEGREES}
 
 
-# the largest canring horizon accepted: the cost grows 1.3 to 2 times with
-# each degree past 12 (in-process, 2 cores, Python 3.11: 0.4 s at 14, 1.0
-# to 1.2 s at 16), so a much larger one runs for minutes
+# the largest canring horizon accepted: the cost grows 1.3 to 1.55 times
+# with each degree past 12 (in-process, best of three, a 2-core Xeon,
+# Python 3.11.7: 0.15 s at 12, 0.27 s at 14, 0.57 s at 16), and the ratio
+# itself rises with the degree
 MAX_DEGREE = 16
 
 

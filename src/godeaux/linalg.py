@@ -30,6 +30,11 @@ which keeps the updates and the rows they produce small; then the first.
 Reduced row echelon form of a matrix is unique, so rank, pivot columns,
 RREF, kernel and membership results do not depend on the pivoting strategy;
 only the intermediate integers do.
+
+Two routines work over the integers on dense rows instead: `det_int`, a
+fraction-free determinant, and `smith_normal_form`, the nonzero invariant
+factors by integer row and column operations that pivot on an entry of
+least magnitude, so every remainder is smaller than the pivot it came from.
 """
 
 from __future__ import annotations
@@ -389,15 +394,6 @@ class SpanBuilder:
         return col
 
 
-def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    if not b:
-        return [[] for _ in a]
-    nb = len(b[0])
-    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(nb)] for ra in a]
-
-
 def det_int(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(a)
@@ -424,69 +420,48 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """Invariant factors of an integer matrix: the diagonal of its Smith
-    normal form, nonnegative, each entry dividing the next."""
-    nrows = len(rows)
+    """The nonzero invariant factors of an integer matrix: the nonzero
+    diagonal entries of its Smith normal form, as many as its rank, each
+    positive and dividing the next.
+
+    Each pass moves the row of an entry of least magnitude, the pivot, to
+    the top (the first such row, so the top row wins a tie) and reduces
+    the pivot's column and row modulo it by integer row and column
+    operations.  A remainder is a nonzero entry smaller than the pivot, so
+    the next pass pivots on less.  Once the pivot is alone in its row and
+    column, a row holding an entry the pivot does not divide is added to
+    the top row, whose next pass leaves a remainder.  Otherwise |pivot| is
+    the next factor and its row and column are deleted; every entry left is
+    a multiple of it, so the factors come out in divisibility order.
+    """
     a = []
     for r in rows:
         if len(r) != ncols:
             raise ValueError("row length does not match ncols")
-        for x in r:
-            if not isinstance(x, int):
-                raise TypeError("smith_normal_form needs integer entries")
+        if not all(isinstance(x, int) for x in r):
+            raise TypeError("smith_normal_form needs integer entries")
         a.append(list(r))
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        a[t], a[best[0]] = a[best[0]], a[t]
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        # enforce divisibility of the rest of the block by the pivot
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+    factors = []
+    while entries := [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]:
+        _, i, j = min(entries)
+        a.insert(0, a.pop(i))
+        top = a[0]
+        p = top[j]
+        for k in range(1, len(a)):
+            if q := a[k][j] // p:
+                a[k] = [x - q * y for x, y in zip(a[k], top)]
+        for col, x in enumerate(top):
+            if col != j and (q := x // p):
+                for row in a:
+                    row[col] -= q * row[j]
+        if any(top[:j] + top[j + 1:]) or any(row[j] for row in a[1:]):
             continue
-        t += 1
-    return [a[i][i] for i in range(limit)]
+        offender = next((row for row in a[1:] if any(x % p for x in row)), None)
+        if offender:
+            a[0] = [x + y for x, y in zip(top, offender)]
+            continue
+        factors.append(abs(p))
+        del a[0]
+        for row in a:
+            del row[j]
+    return factors

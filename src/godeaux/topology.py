@@ -8,10 +8,11 @@ Tietze simplifier that certifies triviality of a group presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .datafile import FieldError, get, load, made, pair, typed
-from .linalg import mat_mul_int, smith_normal_form
+from .linalg import smith_normal_form
 
 MatrixZ = list[list[int]]
 Word = tuple[int, ...]
@@ -68,12 +69,6 @@ class AbelianGroup:
         return [self.free_rank, list(self.torsion)]
 
 
-def _factors(mat: MatrixZ, ncols: int) -> list[int]:
-    """The nonzero invariant factors of an integer matrix; there are as
-    many as its rank."""
-    return [d for d in smith_normal_form(mat, ncols) if d]
-
-
 def _quotient(rank: int, factors: Sequence[int]) -> AbelianGroup:
     """Z^rank modulo the image of a map with these nonzero invariant factors."""
     return AbelianGroup(rank - len(factors), tuple(d for d in factors if d > 1))
@@ -100,11 +95,8 @@ class ChainComplexZ:
             _check_matrix(mat, ranks[k], ranks[k + 1], f"boundaries.{k}")
             for k, mat in enumerate(boundaries)
         ]
-        for k in range(len(self.boundaries) - 1):
-            if min(ranks[k], ranks[k + 1], ranks[k + 2]) == 0:
-                continue
-            prod = mat_mul_int(self.boundaries[k], self.boundaries[k + 1])
-            if any(any(row) for row in prod):
+        for k, (d, d_next) in enumerate(zip(self.boundaries, self.boundaries[1:])):
+            if any(sum(map(mul, row, col)) for row in d for col in zip(*d_next)):
                 raise FieldError(f"boundaries.{k}",
                                  "its composite with the next boundary map is not zero")
 
@@ -115,7 +107,7 @@ def homology(c: ChainComplexZ) -> list[AbelianGroup]:
     The Smith form of each boundary gives both its rank, which cuts the
     cycles out of the degree it leaves, and the quotient by its image in
     the degree it enters."""
-    factors = [_factors(mat, c.ranks[k + 1]) for k, mat in enumerate(c.boundaries)] + [[]]
+    factors = [smith_normal_form(mat, c.ranks[k + 1]) for k, mat in enumerate(c.boundaries)] + [[]]
     return [_quotient(rank - (len(factors[i - 1]) if i else 0), factors[i])
             for i, rank in enumerate(c.ranks)]
 
@@ -165,7 +157,8 @@ def mayer_vietoris_solve(data: MayerVietorisData) -> list[Union[AbelianGroup, st
     torsion in the side terms leaves the matrices silent about part of
     the maps, so those degrees come back AMBIGUOUS instead of guessed.
     """
-    factors = [_factors(mat, cover.free_rank) for mat, cover in zip(data.maps, data.curve_cover)]
+    factors = [smith_normal_form(mat, cover.free_rank)
+               for mat, cover in zip(data.maps, data.curve_cover)]
     out: list[Union[AbelianGroup, str]] = []
     for i in range(data.degrees):
         side_torsion = data.curve[i].torsion or data.surface[i].torsion
@@ -247,7 +240,7 @@ def exponent_matrix(g: GroupPresentation) -> MatrixZ:
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:
     n = len(g.generators)
-    return _quotient(n, _factors(exponent_matrix(g), n))
+    return _quotient(n, smith_normal_form(exponent_matrix(g), n))
 
 
 # -- Tietze simplification ----------------------------------------------

@@ -160,6 +160,21 @@ class TestTopology:
         assert code == 0
         assert "check" not in out
 
+    def test_dense_glueing_map(self, capsys, tmp_path):
+        # a full-rank 5 x 5 map in degree 1, whose last invariant factor is
+        # its determinant, 9464380926
+        raw = load_raw("topology.json")
+        del raw["expected"]
+        mv = raw["mayer_vietoris"]
+        mv["curve_cover"][1], mv["curve"][1], mv["surface"][1] = [5, []], [2, []], [3, []]
+        mv["maps"][1] = [[0, 72, 0, 0, 95], [79, 0, 0, -59, 0], [0, 0, -85, -12, -49],
+                         [0, 75, 0, 0, -39], [77, 64, -24, 81, 44]]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(raw))
+        code, out, _ = run_cli(capsys, "topology", "--instance", str(path))
+        assert code == 0
+        assert "glueing sequence: Z Z/9464380926 Z^9 Z Z\n" in out
+
 
 def _without_expectations(name):
     """The shipped data file `name` with every stated expectation dropped."""

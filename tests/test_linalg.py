@@ -10,7 +10,7 @@ import random
 from copy import deepcopy
 from itertools import combinations
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +26,6 @@ from godeaux.linalg import (
     dense,
     det_int,
     kernel_basis,
-    mat_mul_int,
     membership,
     rank_of,
     rref,
@@ -265,6 +264,25 @@ class TestSpanBuilder:
                 assert sb.contains(row)
 
 
+# a dense 5x5 map whose only invariant factor above 1 is its determinant;
+# an elimination that reduces columns by a pivot row it has not yet reduced
+# grows its entries here past 700000 bits
+BLOW_UP = [[0, 72, 0, 0, 95], [79, 0, 0, -59, 0], [0, 0, -85, -12, -49],
+           [0, 75, 0, 0, -39], [77, 64, -24, 81, 44]]
+
+
+def determinantal_factors(a, ncols):
+    """The nonzero invariant factors read off the minors, independently of
+    any elimination: with D_k the gcd of all k x k minors (D_0 = 1), the
+    k-th factor is D_k / D_{k-1}, for every k with D_k nonzero."""
+    minors = [1]
+    for k in range(1, min(len(a), ncols) + 1):
+        minors.append(gcd(*(det_int([[a[i][j] for j in cols] for i in rows])
+                            for rows in combinations(range(len(a)), k)
+                            for cols in combinations(range(ncols), k))))
+    return [minors[k] // minors[k - 1] for k in range(1, len(minors)) if minors[k]]
+
+
 class TestSmith:
     def test_worked_example(self):
         assert smith_normal_form([[-1, 2], [0, 1]], 2) == [1, 1]
@@ -273,7 +291,8 @@ class TestSmith:
         assert smith_normal_form([[2, 0], [0, 3]], 2) == [1, 6]
 
     def test_zero_and_empty(self):
-        assert smith_normal_form([[0, 0], [0, 0]], 2) == [0, 0]
+        # only the nonzero factors come back, as many as the rank
+        assert smith_normal_form([[0, 0], [0, 0]], 2) == []
         assert smith_normal_form([], 2) == []
 
     def test_rejects_fractions(self):
@@ -281,28 +300,37 @@ class TestSmith:
             smith_normal_form([[F(1, 2)]], 1)
 
     def test_invariant_factors_from_minors(self):
-        # oracle independent of the elimination: with D_k the gcd of all
-        # k x k minors (D_0 = 1), the k-th invariant factor is D_k / D_{k-1}
+        # 30 shapes up to 4 x 4 with small entries, then 10 dense 5 x 5
+        # ones with entries up to 100
         rng = random.Random(505)
-        for _ in range(30):
-            nrows = rng.randrange(1, 5)
-            ncols = rng.randrange(1, 5)
-            a = [[rng.randint(-8, 8) for _ in range(ncols)] for _ in range(nrows)]
+        for t in range(40):
+            if t < 30:
+                nrows, ncols, bound = rng.randrange(1, 5), rng.randrange(1, 5), 8
+            else:
+                nrows, ncols, bound = 5, 5, 100
+            a = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
             diag = smith_normal_form(a, ncols)
-            minors = [1]
-            for k in range(1, min(nrows, ncols) + 1):
-                minors.append(gcd(*(det_int([[a[i][j] for j in cols] for i in rows])
-                                    for rows in combinations(range(nrows), k)
-                                    for cols in combinations(range(ncols), k))))
-            assert diag == [minors[k] // minors[k - 1] if minors[k] else 0
-                            for k in range(1, len(minors))]
-            assert all(x >= 0 for x in diag)
-            for i in range(len(diag) - 1):
-                if diag[i + 1]:
-                    assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-                # once a zero appears the rest stay zero
-                if diag[i] == 0:
-                    assert diag[i + 1] == 0
+            assert diag == determinantal_factors(a, ncols)
+            assert all(x > 0 for x in diag)
+            assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
+
+    def test_blow_up_example(self):
+        diag = smith_normal_form(BLOW_UP, 5)
+        assert diag == [1, 1, 1, 1, 9464380926]
+        assert diag == determinantal_factors(BLOW_UP, 5)
+        assert diag[-1] == abs(det_int(BLOW_UP))
+
+    @pytest.mark.parametrize("n, bound, seed", [(8, 9, 707), (10, 3, 808)])
+    def test_dense_squares(self, n, bound, seed):
+        # dense squares big enough for coefficient growth to show
+        rng = random.Random(seed)
+        for _ in range(10):
+            a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            diag = smith_normal_form(a, n)
+            assert len(diag) == rank_of(a, n)
+            if len(diag) == n:
+                assert prod(diag) == abs(det_int(a))
+            assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
 
 
 class TestDet:
@@ -318,7 +346,8 @@ class TestDet:
             n = rng.randrange(1, 5)
             a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            assert det_int(mat_mul_int(a, b)) == det_int(a) * det_int(b)
+            ab = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+            assert det_int(ab) == det_int(a) * det_int(b)
 
 
 # -- oracle tests for the elimination kernel --------------------------------

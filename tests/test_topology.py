@@ -50,7 +50,7 @@ def _cokernel(mat, nrows, ncols):
         return AbelianGroup(0)
     if ncols == 0:
         return AbelianGroup(nrows)
-    diag = [d for d in smith_normal_form(mat, ncols) if d != 0]
+    diag = smith_normal_form(mat, ncols)
     return AbelianGroup(nrows - len(diag), tuple(d for d in diag if d > 1))
 
 
@@ -64,7 +64,7 @@ def reference_homology(c):
         if i == top_degree(c) or c.ranks[i] == 0 or c.ranks[i + 1] == 0:
             image_rank, torsion = 0, ()
         else:
-            diag = [d for d in smith_normal_form(c.boundaries[i], c.ranks[i + 1]) if d != 0]
+            diag = smith_normal_form(c.boundaries[i], c.ranks[i + 1])
             image_rank, torsion = len(diag), tuple(d for d in diag if d > 1)
         out.append(AbelianGroup(cycles - image_rank, torsion))
     return out
@@ -210,6 +210,16 @@ class TestHomology:
     def test_composition_checked(self):
         with pytest.raises(ValueError):
             ChainComplexZ([1, 1, 1], [[[1]], [[1]]])
+
+    def test_rectangular_composition_checked(self):
+        # d1 d2 = [[1]] is a 1 x 1 product of a 1 x 2 and a 2 x 1 map
+        with pytest.raises(ValueError):
+            ChainComplexZ([1, 2, 1], [[[1, 1]], [[1], [0]]])
+
+    def test_zero_middle_rank(self):
+        # both maps are empty, so their composite is the zero 2 x 3 map
+        c = ChainComplexZ([2, 0, 3], [[[], []], []])
+        assert homology(c) == [AbelianGroup(2), AbelianGroup(0), AbelianGroup(3)]
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
