@@ -4,6 +4,12 @@ Subcommands: canring (generators, relations, dimension triple), verify
 (one published value at a time), topology (homology and fundamental
 group of the glued surface), defcalc (glueing sheaf degrees).
 
+`canring` runs its map checks (tricanonical, fourcanonical and the base
+loci) in one forked child process while it computes the generators and
+relations itself.  It does so only when it may use more than one CPU,
+`os.fork` exists and no other thread runs; otherwise it runs them first,
+in its own process.  The output is the same either way.
+
 Exit codes: 0 success, 1 verification mismatch, 2 input error (a data
 file's loader or a flag check refused the input), 3 an UNDECIDED
 certificate.  Any other exception is a program fault and keeps its
@@ -19,9 +25,13 @@ generators and Hilbert consistency) fails or a base locus is UNDECIDED.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import signal
 import sys
-from typing import Optional, Sequence
+import threading
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import defcalc as defcalc_mod
 from . import topology as topology_mod
@@ -86,10 +96,10 @@ def _base_loci(pipe: Pipeline) -> dict:
     return {f"m{m}": pipe.base_locus(m) for m in _BASE_LOCUS_DEGREES}
 
 
-# the largest canring horizon accepted: the cost grows 1.3 to 1.55 times
+# the largest canring horizon accepted: the cost grows 1.4 to 1.65 times
 # with each degree past 12 (in-process, best of three, a 2-core Xeon,
-# Python 3.11.7: 0.15 s at 12, 0.27 s at 14, 0.57 s at 16), and the ratio
-# itself rises with the degree
+# Python 3.11.7, the map checks in a child: 0.1 s at 12, 0.2 s at 14,
+# 0.51 s at 16), and the ratio itself rises with the degree
 MAX_DEGREE = 16
 
 
@@ -104,20 +114,100 @@ def _pipeline(path: Optional[str], max_degree: int = 12) -> Pipeline:
 # -- canring -------------------------------------------------------------
 
 
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in a child process; the
+    parent raises the exception again from it."""
+
+
+def _may_fork() -> bool:
+    """Whether a forked child can run beside this process: `os.fork`
+    exists, the process may use more than one CPU, and no other thread
+    runs (a fork copies only the calling thread, and Python 3.12 warns)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+@contextlib.contextmanager
+def _in_child(task: Callable[[], object]) -> Iterator[Callable[[], object]]:
+    """Run `task` in a forked child while the block runs, and yield a join
+    that returns the task's value.
+
+    The child pickles one (ok, value, traceback text) into a pipe and ends
+    with `os._exit`, so it flushes no stdio buffer it inherited.  The join
+    reads the pipe to its end and then reaps the child.  An `Exception` the
+    task raised is raised again with its type, from the child's traceback
+    text; a child that ends without a result raises RuntimeError naming its
+    exit status.  A child not joined when the block ends, because the block
+    raised, is killed and reaped.  Where `_may_fork` says no, the task runs
+    at once and the join returns its value.
+    """
+    if not _may_fork():
+        value = task()
+        yield lambda: value
+        return
+    # imported here, so that a command that forks no child does not load them
+    import pickle
+    import traceback
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, task(), ""))
+            except Exception as exc:
+                payload = pickle.dumps((False, exc, traceback.format_exc()))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    status = None
+
+    def join():
+        nonlocal status
+        payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0 or not payload:
+            ended = f"signal {-status}" if status < 0 else f"exit status {status}"
+            raise RuntimeError(f"the child process ended without a result ({ended})")
+        ok, value, text = pickle.loads(payload)
+        if not ok:
+            raise value from _ChildTraceback(text)
+        return value
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_canring(args) -> tuple[int, dict, list[str]]:
     pipe = _pipeline(args.instance, args.max_degree)
     expected = pipe.instance.expected
-    # the map checks build and drop their own products, so they run before
-    # the generator, reference-image and relation caches fill
-    tri = pipe.tricanonical()
-    four = pipe.fourcanonical()
-    computed = pipe.minimal_generators()
-    verified = pipe.verify_reference()["ok"]
-    # the Hilbert counts read the relation search's ideal ranks, so it runs
-    # at every horizon
-    rels = pipe.relations()
-    hilbert = pipe.hilbert_consistency()
-    base = _base_loci(pipe)
+    # the map checks read no generator, reference-image or relation cache,
+    # so they run beside the stages that fill those caches: in a child
+    # process where `_in_child` may fork one, and otherwise first, before
+    # the caches fill
+    with _in_child(lambda: (pipe.tricanonical(), pipe.fourcanonical(),
+                            _base_loci(pipe))) as join:
+        computed = pipe.minimal_generators()
+        verified = pipe.verify_reference()["ok"]
+        # the Hilbert counts read the relation search's ideal ranks, so it
+        # runs at every horizon
+        rels = pipe.relations()
+        hilbert = pipe.hilbert_consistency()
+        tri, four, base = join()
 
     # below the largest expected generator degree the horizon cannot see
     # every generator, so neither the profile nor the codimension is decided

@@ -26,6 +26,15 @@ class Witness:
     coords: tuple[Poly, ...]
 
 
+# the largest base-locus degree bound and evidence bound accepted: the
+# search's time about doubles with every 10 degrees (`verify base-locus`,
+# best of two in-process runs, a 2-core Xeon, Python 3.11.7: with the m = 2
+# witness dropped, 0.26 s at a degree bound of 30, 0.68 s at 40 and 1.2 s
+# at 50; with it kept, 0.04 s at an evidence bound of 12, 0.49 s at 40 and
+# 1.1 s at 50)
+_MAX_BASE_LOCUS_BOUND = 40
+
+
 def _checked_expected(raw: dict) -> dict:
     """The block of published values the checks compare with, type-checked."""
     exp = get(raw, "expected", dict, default={})
@@ -120,6 +129,9 @@ class Instance:
         for key in ("degree_bound", "nonempty_evidence_bound"):
             if get(bl, key, int, "base_locus") < 0:
                 raise ValueError(f"base_locus.{key} must be nonnegative, got {bl[key]}")
+            if bl[key] > _MAX_BASE_LOCUS_BOUND:
+                raise ValueError(f"base_locus.{key} must be at most {_MAX_BASE_LOCUS_BOUND}, "
+                                 f"got {bl[key]}")
         self.base_locus_bound = bl["degree_bound"]
         self.nonempty_evidence_bound = bl["nonempty_evidence_bound"]
         self.base_locus_witnesses = dict(

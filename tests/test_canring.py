@@ -150,11 +150,12 @@ class TestProducts:
 
     @pytest.mark.parametrize("stage, most", [("canring", 149), ("fourcanonical", 83),
                                              ("tricanonical", 9)])
-    def test_reducing_products_guard(self, monkeypatch, stage, most):
+    def test_reducing_products_guard(self, monkeypatch, inline_child, stage, most):
         # a product is built through a factor whose terms miss z, the
         # variable of lead(f) = z^2, whenever it has one, and such a factor
         # only re-indexes; through the last factor 965, 565 and 45 products
-        # met z, and the count must not rise
+        # met z, and the count must not rise.  canring's map checks run in
+        # this process (`inline_child`), or their products would go uncounted
         reducing = 0
         times = HypersurfaceRing.times
 
@@ -170,6 +171,7 @@ class TestProducts:
             with redirect_stdout(out):
                 assert cli.main(["canring", "--format", "structured"]) == 0
             assert out.getvalue().encode() == (GOLDEN / "canring.json").read_bytes()
+            assert len(inline_child) == 1
         elif stage == "fourcanonical":
             assert Pipeline(load_instance()).fourcanonical(d_max=6)["h"][6] == 276
         else:
@@ -702,11 +704,13 @@ class TestSpanQuestions:
         (["verify", "paper-generators", "--format", "structured"],
          "verify-paper-generators.json", 35),
     ], ids=["canring", "base-locus", "paper-generators"])
-    def test_one_elimination_per_degree_guard(self, monkeypatch, args, golden, most):
+    def test_one_elimination_per_degree_guard(self, monkeypatch, inline_child, args, golden,
+                                              most):
         # each membership or spanning question is read off one elimination
         # per degree: 138, 67 and 48 `Echelon`s with a rank test per listed
         # generator and a second elimination per pure power, 84, 26 and 35
-        # with one, and it must not rise
+        # with one, and it must not rise.  canring's map checks run in this
+        # process (`inline_child`), or their eliminations would go uncounted
         built = 0
 
         class Counted(Echelon):
@@ -720,4 +724,5 @@ class TestSpanQuestions:
         with redirect_stdout(out):
             assert cli.main(args) == 0
         assert out.getvalue().encode() == (GOLDEN / golden).read_bytes()
+        assert len(inline_child) == (args[0] == "canring")
         assert 0 < built <= most

@@ -2,8 +2,12 @@
 
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -340,6 +344,10 @@ class TestInputErrors:
          "base_locus.degree_bound must be nonnegative, got -3"),
         (["verify", "base-locus"], shipped_with(("base_locus", "nonempty_evidence_bound"), -5),
          "base_locus.nonempty_evidence_bound must be nonnegative, got -5"),
+        (["verify", "base-locus"], shipped_with(("base_locus", "degree_bound"), 1000),
+         "base_locus.degree_bound must be at most 40, got 1000"),
+        (["canring"], shipped_with(("base_locus", "nonempty_evidence_bound"), 41),
+         "base_locus.nonempty_evidence_bound must be at most 40, got 41"),
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
             "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
             "boolean-relator-letter", "boolean-weight", "boolean-node-preimages",
@@ -347,7 +355,8 @@ class TestInputErrors:
             "tricanonical-form-unfinished", "curve-factor-duplicate-name",
             "residue-image-unequal-degrees", "tau-generator-unknown-variable",
             "witness-key-not-an-integer", "ring-duplicate-name", "tricanonical-bad-name",
-            "ring-zero-weight", "negative-degree-bound", "negative-evidence-bound"])
+            "ring-zero-weight", "negative-degree-bound", "negative-evidence-bound",
+            "huge-degree-bound", "evidence-bound-past-cap"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):
         # each of these once crashed mid-run with a traceback, printed a bare
         # field name or read a boolean as 0 or 1; the loader now refuses
@@ -412,6 +421,132 @@ class TestInputErrors:
         monkeypatch.setattr(Pipeline, "tricanonical", planted)
         with pytest.raises(fault, match="planted"):
             cli.main(["verify", "tricanonical"])
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """`cli._in_child` forks whatever the CPU count; returns the pids forked."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def in_child_only(body):
+    """A stand-in for a map check that runs `body` in a forked child and
+    fails if the parent runs it."""
+    parent = os.getpid()
+
+    def planted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("a map check ran in the parent")
+        return body()
+
+    return planted
+
+
+class TestMapChecksChild:
+    """canring's map checks run in one forked child (`cli._in_child`)."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["canring", "--format", "structured"], "canring.json"),
+        (["canring"], "canring.txt"),
+    ], ids=["structured", "text"])
+    def test_forked_and_inline_agree(self, capsys, monkeypatch, forked, argv, name):
+        code, forked_out, _ = run_cli(capsys, *argv)
+        assert (code, len(forked)) == (0, 1)
+        assert_no_child()
+        monkeypatch.setattr(cli, "_may_fork", lambda: False)
+        code, inline_out, _ = run_cli(capsys, *argv)
+        assert (code, len(forked)) == (0, 1)
+        assert forked_out == inline_out
+        assert forked_out.encode() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", [ValueError, KeyError, TypeError])
+    def test_child_fault_propagates(self, monkeypatch, forked, fault):
+        # a fault in the child keeps its type and carries the child's
+        # traceback; it is raised, not reported as an input error
+        def planted():
+            raise fault("planted")
+
+        monkeypatch.setattr(Pipeline, "base_locus", in_child_only(planted))
+        with pytest.raises(fault, match="planted") as info:
+            cli.main(["canring", "--max-degree", "5"])
+        cause = info.value.__cause__
+        assert isinstance(cause, cli._ChildTraceback)
+        assert "Traceback (most recent call last)" in str(cause)
+        assert "in planted" in str(cause)
+        assert len(forked) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("end, named", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+        (lambda: os._exit(3), "exit status 3"),
+    ], ids=["killed", "exited"])
+    def test_child_without_result(self, monkeypatch, forked, end, named):
+        monkeypatch.setattr(Pipeline, "fourcanonical", in_child_only(end))
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"the child process ended without a result ({named})")):
+            cli.main(["canring", "--max-degree", "5"])
+        assert len(forked) == 1
+        assert_no_child()
+
+    def test_child_reaped_when_the_parent_raises(self, monkeypatch, forked):
+        # the child would run for a minute; the parent's fault kills it
+        monkeypatch.setattr(Pipeline, "tricanonical", in_child_only(lambda: time.sleep(60)))
+
+        def fault(self):
+            raise ValueError("parent fault")
+
+        monkeypatch.setattr(Pipeline, "relations", fault)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="parent fault"):
+            cli.main(["canring", "--max-degree", "5"])
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("condition", ["one-cpu", "no-fork", "second-thread"])
+    def test_inline_rule(self, capsys, monkeypatch, condition):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._may_fork()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if condition == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif condition == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            thread.start()
+        try:
+            assert not cli._may_fork()
+            code, out, _ = run_cli(capsys, "canring", "--max-degree", "5", "--format",
+                                   "structured")
+        finally:
+            stop.set()
+            if condition == "second-thread":
+                thread.join(10)
+                assert not thread.is_alive()
+        assert code == 0
+        assert out.encode() == (GOLDEN / "canring-max-degree-5.json").read_bytes()
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[entry["golden"] for entry in MANIFEST])
