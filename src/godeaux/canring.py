@@ -16,7 +16,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .instance import Instance, Witness
-from .linalg import Column, Echelon
+from .linalg import Column, Echelon, Number
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly
 from .quotient import HypersurfaceRing
 
@@ -40,17 +40,35 @@ def _candidates(ring: WeightedRing, m: int, pivots: dict[int, set[Monomial]]) ->
     the pivots (the standard monomials) form an order ideal, so the ranks
     and pivot products are those of all degree-m monomials.
     """
-    weights = ring.weights
+    return _divisor_closed(ring.monomials(m), [pivots.get(m - w) for w in ring.weights])
+
+
+def _divisor_closed(monos: Sequence[Monomial], lower: Sequence[Optional[set[Monomial]]]
+                    ) -> list[Monomial]:
+    """The monomials of `monos`, in their order, whose divisor beta - e_i
+    lies in `lower[i]` for every variable i that `lower` gives a set: the
+    `_candidates` rule, with each variable's lower pivot set looked up once
+    for all the monomials.  A variable past the end of `lower`, or with
+    None there, is not checked."""
+    known = [(i, pivots) for i, pivots in enumerate(lower) if pivots is not None]
     out = []
-    for beta in ring.monomials(m):
-        for i, e in enumerate(beta):
-            if e:
-                known = pivots.get(m - weights[i])
-                if known is not None and beta[:i] + (e - 1,) + beta[i + 1:] not in known:
-                    break
+    for beta in monos:
+        for i, pivots in known:
+            if (e := beta[i]) and beta[:i] + (e - 1,) + beta[i + 1:] not in pivots:
+                break
         else:
             out.append(beta)
     return out
+
+
+def _times(f: dict[int, Number], g: dict[int, Number]) -> dict[int, Number]:
+    """The product of two binary forms, each a {b-exponent: coefficient}
+    map, with no zero coefficient."""
+    out: dict[int, Number] = {}
+    for i, x in f.items():
+        for j, y in g.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: v for k, v in out.items() if v}
 
 
 def _unit(n: int, i: int) -> Monomial:
@@ -80,6 +98,24 @@ def _in_span(image: Echelon, j: int, start: int) -> Optional[dict[int, Fraction]
         return None
     vec = image.kernel_vector(j)
     return None if any(start <= p < j for p in vec) else vec
+
+
+def _in_rows(rows: Sequence[Column], column: Column) -> bool:
+    """Whether `column` lies in the span of `rows`, a reduced echelon basis:
+    each row, its positions ascending, has a 1 at its least position and 0
+    at the other rows' least positions.
+
+    A combination of the rows reads its coefficient of each row at that
+    row's least position, so the only combination that can equal the column
+    takes each row times the column's entry there, and the column lies in
+    the span iff subtracting that combination leaves zero.
+    """
+    rest = dict(column)
+    for row in rows:
+        if a := column.get(next(iter(row))):
+            for p, x in row.items():
+                rest[p] = rest.get(p, 0) - a * x
+    return not any(rest.values())
 
 
 class _Products:
@@ -187,25 +223,28 @@ class Pipeline:
     the descent's over the curve ring, and `relations` its own over the
     kernel's coordinates.  Each descent space is read off one kernel
     (`descend_space`), over the residues of the basis monomials, each a
-    memoised residue times one residue image.  Every
-    product of elements of S/f (the generators, the reference generators,
-    the quartics, the tricanonical gammas, the base-locus ideal) is a column
-    of a `_Products`, and its `eliminate` gives the rank, the pivot columns
-    (new generators) and the kernel (relations, the tricanonical form) of
-    only the `_candidates`: the products whose every one-variable divisor
-    was a pivot of its own degree.  The reference image, whose kernel gives
-    the relations, prunes only from `_FIRST_RELATION_DEGREE` on, where the
-    relations span the kernel.  A relation multiple is its relation's
-    coordinates shifted by a monomial, read only at the monomials that are
-    no pivot of the reference image, the kernel's own coordinates.  Every
-    membership question is read off one elimination per degree by
-    `_in_span`, with the columns asked about after the spanning ones: the
-    reference check eliminates [descend vectors | pivot products | listed
-    generators], and the base-locus search [products | pure powers], whose
-    kernel vector of a member power is its certificate.  The reference
-    generators' products, whose ring is the presentation ring, are set up
-    with the pipeline.  A generator list, the instance's reference list or
-    the computed one, is a list of (polynomial, degree) pairs.
+    memoised residue times one residue image, both kept as their two binary
+    forms' {b-exponent: coefficient} maps.  Every product of elements of
+    S/f (the generators, the reference generators, the quartics, the
+    tricanonical gammas, the base-locus ideal) is a column of a `_Products`,
+    and an elimination of its products gives the rank, the pivot columns
+    (new generators, certificates) and the kernel (relations, the
+    tricanonical form) of only the `_candidates`: the products whose every
+    one-variable divisor was a pivot of its own degree.  The reference
+    image, whose kernel gives the relations, prunes only from
+    `_FIRST_RELATION_DEGREE` on, where the relations span the kernel.  A
+    relation multiple is its relation's coordinates shifted by a monomial,
+    read only at the monomials that are no pivot of the reference image,
+    the kernel's own coordinates.  The reference check eliminates nothing
+    of its own: a descent space is a reduced echelon basis, and `_in_rows`
+    reads membership off it for the listed generators and the pivot
+    products with a factor outside the canonical ring.  The base-locus
+    search eliminates [products | pure powers] once per degree, and
+    `_in_span` reads a member power's certificate off its kernel vector.
+    The reference generators' products, whose ring is the presentation
+    ring, are set up with the pipeline.  A generator list, the instance's
+    reference list or the computed one, is a list of (polynomial, degree)
+    pairs.
     """
 
     def __init__(self, instance: Instance, max_degree: int = 12):
@@ -215,7 +254,10 @@ class Pipeline:
         self.ring = instance.ring
         self._descend: dict[int, list[Column]] = {}
         self._descend_polys: dict[int, list[Poly]] = {}
-        self._residues = {(0,) * self.ring.n: instance.curve.one()}
+        self._images = [tuple({b: c for (_, b), c in form.coeffs.items()}
+                              for form in (image.first, image.second))
+                        for image in instance.residue.images]
+        self._residues = {(0,) * self.ring.n: ({0: 1}, {0: 1})}
         self._computed: Optional[list[tuple[Poly, int]]] = None
         self.reference_generators = instance.reference_generators
         self._reference = _Products(self.quotient, [p for p, _ in self.reference_generators],
@@ -224,13 +266,16 @@ class Pipeline:
         self._reference_images: dict[int, tuple[list[Monomial], list[Column], Echelon]] = {}
         self._relations: Optional[RelationSet] = None
 
-    def _residue(self, mono: Monomial):
-        """The residue of the ambient monomial `mono` in the curve ring."""
+    def _residue(self, mono: Monomial) -> tuple[dict[int, Number], dict[int, Number]]:
+        """The residue of the ambient monomial `mono` in the curve ring, as
+        the {b-exponent: coefficient} maps of its two binary forms: the
+        residue of `mono` without its last variable times that variable's
+        image, factor by factor."""
         got = self._residues.get(mono)
         if got is None:
             i = max(j for j, e in enumerate(mono) if e)
             lower = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            got = self._residues[mono] = self._residue(lower) * self.instance.residue.images[i]
+            got = self._residues[mono] = tuple(map(_times, self._residue(lower), self._images[i]))
         return got
 
     # -- the descent condition ------------------------------------------
@@ -253,8 +298,12 @@ class Pipeline:
         if cached is not None:
             return cached
         taus = self.instance.tau.basis_vectors(m)
-        cols = taus + [self._residue(mono).coordinate_vector(m)
-                       for mono in reversed(self.quotient.degree_basis(m))]
+        cols = list(taus)
+        for mono in reversed(self.quotient.degree_basis(m)):
+            first, second = self._residue(mono)
+            col = dict(first)
+            col.update((m + 1 + b, c) for b, c in second.items())
+            cols.append(col)
         # kernel column j >= k is basis position top - j
         k = len(taus)
         top = len(cols) - 1
@@ -320,14 +369,17 @@ class Pipeline:
     def verify_reference(self) -> dict:
         """Membership of each listed generator plus graded spanning checks.
 
-        Each degree from 2 to the horizon, and each degree of a listed
-        generator, eliminates [descend vectors | pivot products | listed
-        generators of that degree] once.  The k descend vectors are
-        independent, so the products span the degree-m piece iff their rank
-        and the rank of that elimination are both k; only the degrees from
-        2 to the horizon report it.  A listed generator is a product, so
-        never a pivot, and `_in_span` finds it in the span of the descend
-        vectors iff its kernel vector has no key among the pivot products.
+        A column lies in the degree-m piece R_m iff `_in_rows` reduces it
+        to zero against `descend_space(m)`, a reduced echelon basis, so no
+        membership question needs an elimination.  Each degree of a listed
+        generator reduces that generator's column.  Each degree m from 2 to
+        the horizon reads the pivot products of the reference image: R is a
+        subring of S/f, the preimage of the tau subring under the residue
+        ring map, so a pivot product whose factors are all members lies in
+        R_m untested, and only those with a factor outside are reduced.  The
+        k descend vectors are independent, so the products span R_m iff
+        their rank is k and every pivot product and listed generator of the
+        degree lies in R_m; the pivot products span the products.
         """
         self.precompute_descend()
         gens = self.reference_generators
@@ -336,19 +388,19 @@ class Pipeline:
         spans = []
         for m in sorted(set(checked).union(d for _, d in gens)):
             descend = self.descend_space(m)
-            k = len(descend)
-            _, cols, image = self._reference_image(m)
-            pivots = [cols[j] for j in image.pivot_columns]
             listed = [idx for idx, (_, d) in enumerate(gens) if d == m]
-            # the product with each generator's unit exponent, a column of
-            # the degree-m reference image
+            # the product with each generator's unit exponent
             targets = self._reference.columns([_unit(len(gens), idx) for idx in listed], m)
-            joint = _eliminate(self.quotient, descend + pivots + targets, m)
-            for t, idx in enumerate(listed):
-                member[idx] = _in_span(joint, k + len(pivots) + t, k) is not None
+            for idx, column in zip(listed, targets):
+                member[idx] = _in_rows(descend, column)
             if m in checked:
-                spans.append({"degree": m, "product_rank": image.rank, "dimension": k,
-                              "spans": image.rank == k and joint.rank == k})
+                cands, cols, image = self._reference_image(m)
+                outside = [cols[j] for j in image.pivot_columns
+                           if not all(member[i] for i, e in enumerate(cands[j]) if e)]
+                spanned = (image.rank == len(descend) and all(member[idx] for idx in listed)
+                           and all(_in_rows(descend, column) for column in outside))
+                spans.append({"degree": m, "product_rank": image.rank, "dimension": len(descend),
+                              "spans": spanned})
         members = [{"index": idx, "degree": d, "polynomial": format_poly(poly),
                     "member": member[idx]} for idx, (poly, d) in enumerate(gens)]
         ok = all(e["member"] for e in members) and all(e["spans"] for e in spans)
@@ -621,12 +673,21 @@ class Pipeline:
                       bound: int) -> dict[int, dict]:
         """Scan ideal slices for pure powers of the target variables.
 
-        Each degree d eliminates once the products of every degree-(d - m)
+        Each degree d eliminates once the products x^b * g of a degree-(d - m)
         basis monomial and a generator, then the degree-d powers of the
         variables still sought.  A power lies in the ideal slice iff
         `_in_span` finds it in the span of the products, and then its kernel
         vector is minus the canonical combination of the pivot products
         (free coefficients zero).
+
+        The products are listed generator by generator, each over the basis
+        in its term order, and kept by the `_candidates` rule over the
+        ambient variables: (b, g) only when each (b - e_k, g) was a pivot of
+        degree d - w_k, wherever that degree was eliminated.  Multiplying by
+        x_k keeps the term order, and the normal form of a reducible
+        monomial has only smaller terms, so a non-pivot (b - e_k, g), a
+        combination of earlier products, makes (b, g) one too.  Every pivot
+        product is kept, so no certificate changes.
 
         Returns {variable index: certificate}, each the variable, its power,
         the degree and the combination, which replays as a polynomial
@@ -635,9 +696,12 @@ class Pipeline:
         weights = self.ring.weights
         n = self.ring.n
         quotient = self.quotient
-        # products of a basis monomial and a generator, as monomials in the
-        # ambient variables followed by the generators
+        # products as monomials in the ambient variables followed by the
+        # generators
         space = _Products(quotient, [self.ring.variable(i) for i in range(n)] + gens)
+        units = [_unit(len(gens), gi) for gi in range(len(gens))]
+        # the pivot products of each degree eliminated so far
+        pivots: dict[int, set[Monomial]] = {}
         found: dict[int, dict] = {}
         remaining = set(targets)
         for d in range(m, bound + 1):
@@ -646,19 +710,20 @@ class Pipeline:
             checkable = [i for i in remaining if d % weights[i] == 0]
             if not checkable:
                 continue
-            products = [(bmono, gi) for gi in range(len(gens))
-                        for bmono in quotient.degree_basis(d - m)]
-            monos = [bmono + _unit(len(gens), gi) for bmono, gi in products]
+            basis = quotient.degree_basis(d - m)
+            monos = _divisor_closed([b + unit for unit in units for b in basis],
+                                    [pivots.get(d - w) for w in weights])
             # the variables are the first n elements
             powers = [tuple(d // weights[i] if j == i else 0 for j in range(n)) for i in checkable]
             image = _eliminate(quotient, space.columns(monos + powers, d), d)
+            pivots[d] = {monos[j] for j in image.pivot_columns if j < len(monos)}
             for t, i in enumerate(checkable):
                 kvec = _in_span(image, len(monos) + t, len(monos))
                 if kvec is None:
                     continue
                 combination = [{"coefficient": str(-c),
-                                "monomial": format_poly(Poly(self.ring, {products[p][0]: 1})),
-                                "generator": products[p][1]}
+                                "monomial": format_poly(Poly(self.ring, {monos[p][:n]: 1})),
+                                "generator": monos[p].index(1, n) - n}
                                for p, c in kvec.items() if p < len(monos)]
                 found[i] = {"variable": self.ring.names[i], "power": d // weights[i], "degree": d,
                             "combination": combination}

@@ -57,6 +57,10 @@ def _parse_witness(key: str, cfg, nvars: int) -> tuple[int, Witness]:
         degree = int(key)
     except ValueError:
         raise ValueError(f"{where}: the key must be an integer degree") from None
+    if degree < 2:
+        # `Pipeline.base_locus` asks about m >= 2 only, so such a witness
+        # would be read by nothing
+        raise ValueError(f"{where}: the degree must be at least 2, got {degree}")
     text = get(typed(cfg, dict, where), "extension_minimal_polynomial", str, where)
     point = get(cfg, "point", list, where, of=str)
     if len(point) != nvars:

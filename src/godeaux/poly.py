@@ -193,6 +193,10 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self.coeffs) == 1:
+            # a term's power scales its exponent
+            (mono, c), = self.coeffs.items()
+            return Poly(self.ring, {tuple(e * k for k in mono): c ** e})
         result = self.ring.one()
         base = self
         while e:
@@ -418,22 +422,21 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
+        """A signed sum of terms, summed into one coefficient map."""
+        out: dict[Monomial, Number] = {}
         kind, val, pos = self.peek()
-        negate = False
+        sign = 1
         if kind == "op" and val in "+-":
             self.advance()
-            negate = val == "-"
-        p = self.term()
-        if negate:
-            p = -p
+            sign = -1 if val == "-" else 1
         while True:
+            for mono, c in self.term().coeffs.items():
+                out[mono] = out.get(mono, 0) + sign * c
             kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                q = self.term()
-                p = p - q if val == "-" else p + q
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                return Poly(self.ring, out)
+            self.advance()
+            sign = -1 if val == "-" else 1
 
     def term(self) -> Poly:
         p = self.factor()

@@ -698,19 +698,34 @@ class TestSpanQuestions:
         assert canring._in_span(image, 4, 3) is None
         assert canring._in_span(image, 4, 4) == {3: Fraction(-1, 2), 4: 1}
 
+    def test_in_rows_reads_the_reduced_basis(self):
+        # rows e0 + 2 e2 and e1 - 1/2 e2, each 1 at its least position and
+        # 0 at the other's: a combination of them is fixed by its entries at
+        # positions 0 and 1
+        rows = [{0: Fraction(1), 2: Fraction(2)}, {1: Fraction(1), 2: Fraction(-1, 2)}]
+        assert canring._in_rows(rows, {0: 3, 1: 4, 2: 4})
+        assert canring._in_rows(rows, {1: Fraction(2, 3), 2: Fraction(-1, 3)})
+        assert canring._in_rows(rows, {})
+        assert not canring._in_rows(rows, {0: 1, 2: 1})
+        assert not canring._in_rows(rows, {2: Fraction(1, 5)})
+        assert not canring._in_rows(rows, {0: 1, 1: 1, 2: 2, 3: 1})
+        assert not canring._in_rows([], {3: 1})
+
     @pytest.mark.parametrize("args, golden, most", [
-        (["canring", "--format", "structured"], "canring.json", 84),
+        (["canring", "--format", "structured"], "canring.json", 73),
         (["verify", "base-locus", "--format", "structured"], "verify-base-locus.json", 26),
         (["verify", "paper-generators", "--format", "structured"],
-         "verify-paper-generators.json", 35),
+         "verify-paper-generators.json", 24),
     ], ids=["canring", "base-locus", "paper-generators"])
     def test_one_elimination_per_degree_guard(self, monkeypatch, inline_child, args, golden,
                                               most):
-        # each membership or spanning question is read off one elimination
-        # per degree: 138, 67 and 48 `Echelon`s with a rank test per listed
-        # generator and a second elimination per pure power, 84, 26 and 35
-        # with one, and it must not rise.  canring's map checks run in this
-        # process (`inline_child`), or their eliminations would go uncounted
+        # each spanning question is read off one elimination per degree:
+        # 138, 67 and 48 `Echelon`s with a rank test per listed generator and
+        # a second elimination per pure power, 84, 26 and 35 with one.  The
+        # reference check reduces against the descent rows instead of a
+        # second elimination per degree: 73, 26 and 24, and it must not
+        # rise.  canring's map checks run in this process (`inline_child`),
+        # or their eliminations would go uncounted
         built = 0
 
         class Counted(Echelon):
@@ -726,3 +741,69 @@ class TestSpanQuestions:
         assert out.getvalue().encode() == (GOLDEN / golden).read_bytes()
         assert len(inline_child) == (args[0] == "canring")
         assert 0 < built <= most
+
+    def test_base_locus_product_columns_guard(self, monkeypatch):
+        # the columns `verify base-locus` eliminates, products and pure
+        # powers: 1030 with every product of a basis monomial and a
+        # generator, 708 with only the `_candidates`, and it must not rise
+        columns = 0
+        eliminate = canring._eliminate
+
+        def counted(quotient, cols, degree):
+            nonlocal columns
+            columns += len(cols)
+            return eliminate(quotient, cols, degree)
+
+        monkeypatch.setattr(canring, "_eliminate", counted)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["verify", "base-locus", "--format", "structured"]) == 0
+        assert out.getvalue().encode() == (GOLDEN / "verify-base-locus.json").read_bytes()
+        assert 0 < columns <= 708
+
+
+def moved_instance():
+    """The shipped instance in the coordinates z' = 2z: the modulus and the
+    reference generators with z/2 put for z (the modulus's lead coefficient
+    becomes 1/4), the residue image of z doubled, and no witness, so every
+    base locus is searched."""
+    instance = load_instance()
+    ring = instance.ring
+    half = [ring.variable(i) for i in range(3)] + [ring.variable(3).scale(Fraction(1, 2))]
+
+    def moved(poly):
+        return evaluate(poly, half, ring.zero(), ring.one())
+
+    instance.quotient = HypersurfaceRing(ring, moved(instance.quotient.modulus))
+    assert instance.quotient.modulus.leading_coefficient() == Fraction(1, 4)
+    images = instance.residue.images
+    instance.residue = residue.ResidueMap(instance.quotient, instance.curve,
+                                          images[:3] + [images[3].scale(2)])
+    instance.reference_generators = [(moved(p), d) for p, d in instance.reference_generators]
+    instance.base_locus_witnesses = {}
+    return instance
+
+
+class TestMovedCoordinates:
+    """The reference check's subring shortcut and the base-locus pruning
+    against their oracles off the shipped coordinates, whose modulus is
+    not monic and whose columns carry `Fraction` entries."""
+
+    def test_base_locus_matches_two_stage_search(self):
+        instance = moved_instance()
+        instance.base_locus_bound = 16
+        pipe = Pipeline(instance)
+        for m in range(2, 6):
+            assert pipe.base_locus(m) == two_stage_base_locus(pipe, m, 16), m
+
+    @pytest.mark.parametrize("alter, outsiders", [
+        pytest.param(lambda g: g, [], id="moved"),
+        pytest.param(lambda g: monomial_at(g, 0), [0], id="moved-degree-2-non-member"),
+    ])
+    def test_reference_check_matches_unpruned(self, alter, outsiders):
+        instance = moved_instance()
+        instance.reference_generators = alter(instance.reference_generators)
+        pipe = Pipeline(instance, max_degree=11)
+        report = unpruned_presentation(pipe)[2]
+        assert pipe.verify_reference() == report
+        assert [e["index"] for e in report["members"] if not e["member"]] == outsiders

@@ -335,6 +335,14 @@ class TestInputErrors:
          shipped_with(("base_locus", "witnesses"),
                       {"x": load_raw("godeaux.json")["base_locus"]["witnesses"]["2"]}),
          "base_locus.witnesses.x: the key must be an integer degree"),
+        (["verify", "base-locus"],
+         shipped_with(("base_locus", "witnesses"),
+                      {"1": load_raw("godeaux.json")["base_locus"]["witnesses"]["2"]}),
+         "base_locus.witnesses.1: the degree must be at least 2, got 1"),
+        (["verify", "base-locus"],
+         shipped_with(("base_locus", "witnesses"),
+                      {"-2": load_raw("godeaux.json")["base_locus"]["witnesses"]["2"]}),
+         "base_locus.witnesses.-2: the degree must be at least 2, got -2"),
         (["canring"], shipped_with(("ring", "names", 1), "x1"), "ring: duplicate variable name"),
         (["verify", "tricanonical"], shipped_with(("tricanonical", "variables", 0), "1bad"),
          "tricanonical.variables: bad variable name: '1bad'"),
@@ -354,7 +362,8 @@ class TestInputErrors:
             "modulus-degree-240", "modulus-huge-coefficient", "modulus-unfinished", "reference-generator-unknown-variable",
             "tricanonical-form-unfinished", "curve-factor-duplicate-name",
             "residue-image-unequal-degrees", "tau-generator-unknown-variable",
-            "witness-key-not-an-integer", "ring-duplicate-name", "tricanonical-bad-name",
+            "witness-key-not-an-integer", "witness-degree-one", "witness-degree-negative",
+            "ring-duplicate-name", "tricanonical-bad-name",
             "ring-zero-weight", "negative-degree-bound", "negative-evidence-bound",
             "huge-degree-bound", "evidence-bound-past-cap"])
     def test_refused_at_load(self, capsys, tmp_path, argv, content, message):

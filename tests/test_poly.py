@@ -157,6 +157,26 @@ class TestArithmetic:
         assert s ** 1 == s
         assert s ** 3 == s * s * s
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.tuples(*[st.integers(0, 4)] * 4),
+           st.one_of(st.integers(-9, 9).filter(bool),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)),
+           st.integers(0, 6))
+    @example((0, 1, 0, 2), F(-3, 2), 0)
+    @example((1, 0, 0, 0), F(4, 2), 5)
+    def test_term_power_is_repeated_product(self, mono, coeff, e):
+        # a one-term power scales the exponent; it must equal the e-fold
+        # product, coefficients normalized alike (an integral Fraction is
+        # an int)
+        ring = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 3])
+        term = Poly(ring, {mono: coeff})
+        expected = ring.one()
+        for _ in range(e):
+            expected = expected * term
+        got = term ** e
+        assert got == expected
+        assert all(type(c) is type(expected.coeffs[m]) for m, c in got.coeffs.items())
+
     def test_mul_distributes(self, ring):
         rng = random.Random(11)
 
