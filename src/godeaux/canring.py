@@ -9,11 +9,10 @@ on products of fixed elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .instance import Instance, Witness
 from .linalg import Column, Echelon, Number
@@ -200,8 +199,7 @@ class _Products:
         return cands, cols, image
 
 
-@dataclass
-class RelationSet:
+class RelationSet(NamedTuple):
     # each relation over the presentation ring, with its degree
     relations: list[tuple[Poly, int]]
     # rank of the relation-ideal slice, per degree up to the horizon

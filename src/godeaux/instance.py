@@ -6,8 +6,7 @@ overridden by pointing the loader at another JSON file of the same shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .datafile import get, load, made, pair, typed
 from .poly import Poly, WeightedRing, parse_poly
@@ -15,8 +14,7 @@ from .quotient import HypersurfaceRing
 from .residue import CurveElement, CurveRing, ResidueMap, TauSubring
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A stated base-locus point over Q[t]/(mu): the texts as given, and
     the minimal polynomial and one coordinate per ring variable parsed."""
 

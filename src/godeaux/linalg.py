@@ -40,10 +40,9 @@ least magnitude, so every remainder is smaller than the pivot it came from.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Number = int | Fraction
 Column = Mapping[int, Number]
@@ -222,8 +221,7 @@ def _back_substitute(pivots: list[tuple[int, Row]]) -> list[tuple[int, Row]]:
     return pivots
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     rows: list[list[Fraction]]
     pivot_columns: tuple[int, ...]
     rank: int

@@ -37,6 +37,38 @@ def _norm_coeff(c: Number) -> Number:
     raise TypeError(f"not an exact coefficient: {c!r}")
 
 
+def _times(p: dict, q: dict) -> dict:
+    """The product of two coefficient maps, with no zero coefficient if
+    neither has one."""
+    if len(p) == 1 and len(q) == 1:
+        # two terms multiply by adding exponents
+        (m1, c1), = p.items()
+        (m2, c2), = q.items()
+        return {tuple(map(add, m1, m2)): c1 * c2}
+    out: dict[Monomial, Number] = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(map(add, m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _power(p: dict, e: int, n: int) -> dict:
+    """The e-th power of a coefficient map in n variables, by squaring."""
+    if len(p) == 1:
+        # a term's power scales its exponent
+        (mono, c), = p.items()
+        return {tuple(e * k for k in mono): c ** e}
+    out = {(0,) * n: 1}
+    while e:
+        if e & 1:
+            out = _times(out, p)
+        e >>= 1
+        if e:
+            p = _times(p, p)
+    return out
+
+
 class WeightedRing:
     """Polynomial ring with named variables and positive integer weights."""
 
@@ -173,12 +205,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Monomial, Number] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = tuple(map(add, m1, m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Poly(self.ring, out)
+        return Poly(self.ring, _times(self.coeffs, other.coeffs))
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -193,19 +220,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if len(self.coeffs) == 1:
-            # a term's power scales its exponent
-            (mono, c), = self.coeffs.items()
-            return Poly(self.ring, {tuple(e * k for k in mono): c ** e})
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return Poly(self.ring, _power(self.coeffs, e, self.ring.n))
 
     def degree(self) -> Optional[int]:
         """Largest weighted degree of a term; None for the zero polynomial."""
@@ -374,17 +389,39 @@ MAX_PARSE_DEGREE = 64
 # A `^` whose result could have a coefficient longer than this many bits is
 # refused before it expands too: a constant has degree 0, and 3^10000000
 # once took 8 s.  The estimate, exponent * (largest coefficient bit length +
-# bit length of the term count), bounds the coefficients of the power.
+# bit length of the term count), bounds the coefficients of the power.  An
+# integer literal (numerator, denominator or exponent) of more bits is
+# refused as it is read.
 MAX_PARSE_BITS = 4096
+# the most digits of a literal below 2^MAX_PARSE_BITS, leading zeros aside
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_PARSE_BITS))
 
 
 def _coefficient_bits(c: Number) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
+def _literal(digits: str, pos: int) -> int:
+    """The value of the integer literal `digits`, refused above
+    MAX_PARSE_BITS bits.  Its length is checked before `int` reads it, which
+    refuses more than `sys.get_int_max_str_digits()` digits (4300 by
+    default) with an error that names no position."""
+    if len(digits) > _MAX_LITERAL_DIGITS:
+        # leading zeros add no bits, in whichever script's digits they are
+        digits = digits[next((k for k, ch in enumerate(digits) if int(ch)), len(digits) - 1):]
+    value = int(digits) if len(digits) <= _MAX_LITERAL_DIGITS else None
+    if value is None or value.bit_length() > MAX_PARSE_BITS:
+        raise PolyParseError(f"literal of more than {MAX_PARSE_BITS} bits", pos)
+    return value
+
+
 class _Parser:
+    """Recursive descent over the tokens, on coefficient maps {monomial:
+    nonzero coefficient}.  `term`, `factor` and `atom` return a map with its
+    weighted degree (0 for the zero map), carried up from the atoms, so the
+    degree guard at each `*` and `^` reads no term."""
+
     def __init__(self, text: str, ring: WeightedRing):
-        self.text = text
         self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
@@ -419,9 +456,9 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise PolyParseError(f"unexpected {val!r}", pos)
-        return p
+        return Poly(self.ring, p)
 
-    def expr(self) -> Poly:
+    def expr(self) -> dict:
         """A signed sum of terms, summed into one coefficient map."""
         out: dict[Monomial, Number] = {}
         kind, val, pos = self.peek()
@@ -430,56 +467,57 @@ class _Parser:
             self.advance()
             sign = -1 if val == "-" else 1
         while True:
-            for mono, c in self.term().coeffs.items():
+            for mono, c in self.term()[0].items():
                 out[mono] = out.get(mono, 0) + sign * c
             kind, val, pos = self.peek()
             if kind != "op" or val not in "+-":
-                return Poly(self.ring, out)
+                return {mono: c for mono, c in out.items() if c}
             self.advance()
             sign = -1 if val == "-" else 1
 
-    def term(self) -> Poly:
-        p = self.factor()
+    def term(self) -> tuple[dict, int]:
+        p, degree = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                q = self.factor()
-                self.bound_degree((p.degree() or 0) + (q.degree() or 0), pos)
-                p = p * q
-            else:
-                return p
+            if kind != "op" or val != "*":
+                return p, degree
+            self.advance()
+            q, q_degree = self.factor()
+            self.bound_degree(degree + q_degree, pos)
+            p = _times(p, q)
+            # a zero factor leaves the zero map, of degree 0
+            degree = degree + q_degree if p else 0
 
-    def factor(self) -> Poly:
+    def factor(self) -> tuple[dict, int]:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.advance()
             self.nest(pos)
-            p = -self.factor()
+            p, degree = self.factor()
             self.depth -= 1
-            return p
-        base = self.atom()
+            return {mono: -c for mono, c in p.items()}, degree
+        base, degree = self.atom()
         kind, val, caret = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, val, pos = self.peek()
-            if kind != "int":
-                raise PolyParseError("exponent must be a nonnegative integer", pos)
-            self.advance()
-            e = int(val)
-            self.bound_degree((base.degree() or 0) * e, caret)
-            bits = e * (max(map(_coefficient_bits, base.coeffs.values()), default=0)
-                        + len(base.coeffs).bit_length())
-            if bits > MAX_PARSE_BITS:
-                raise PolyParseError(f"coefficients of up to {bits} bits, above the limit "
-                                     f"{MAX_PARSE_BITS}", caret)
-            return base ** e
-        return base
+        if kind != "op" or val != "^":
+            return base, degree
+        self.advance()
+        kind, val, pos = self.peek()
+        if kind != "int":
+            raise PolyParseError("exponent must be a nonnegative integer", pos)
+        self.advance()
+        e = _literal(val, pos)
+        self.bound_degree(degree * e, caret)
+        bits = e * (max(map(_coefficient_bits, base.values()), default=0)
+                    + len(base).bit_length())
+        if bits > MAX_PARSE_BITS:
+            raise PolyParseError(f"coefficients of up to {bits} bits, above the limit "
+                                 f"{MAX_PARSE_BITS}", caret)
+        return _power(base, e, self.ring.n), degree * e
 
-    def atom(self) -> Poly:
+    def atom(self) -> tuple[dict, int]:
         kind, val, pos = self.advance()
         if kind == "int":
-            num = int(val)
+            c = _literal(val, pos)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.advance()
@@ -487,20 +525,23 @@ class _Parser:
                 if kind3 != "int":
                     raise PolyParseError("denominator must be an integer", pos3)
                 self.advance()
-                if int(val3) == 0:
+                d = _literal(val3, pos3)
+                if d == 0:
                     raise PolyParseError("zero denominator", pos3)
-                return self.ring.constant(Fraction(num, int(val3)))
-            return self.ring.constant(num)
+                c = Fraction(c, d)
+            return ({(0,) * self.ring.n: c} if c else {}), 0
         if kind == "ident":
-            if val not in self.ring.index:
+            i = self.ring.index.get(val)
+            if i is None:
                 raise PolyParseError(f"unknown variable {val!r}", pos)
-            return self.ring.variable(val)
+            n = self.ring.n
+            return {(0,) * i + (1,) + (0,) * (n - i - 1): 1}, self.ring.weights[i]
         if kind == "op" and val == "(":
             self.nest(pos)
             p = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return p
+            return p, max(map(self.ring.degree, p), default=0)
         if kind == "end":
             raise PolyParseError("unexpected end of input", pos)
         raise PolyParseError(f"unexpected {val!r}", pos)

@@ -6,9 +6,11 @@ eliminate twice, plus work guards.  The paper's numbers are asserted in
 `test_acceptance.py`."""
 
 import io
+import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from godeaux import canring, cli, linalg, quotient, residue
 from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
 from godeaux.linalg import Echelon, SpanBuilder, dense
-from godeaux.poly import Poly, evaluate, format_poly
+from godeaux.poly import Poly, evaluate, format_poly, parse_poly
 from godeaux.quotient import HypersurfaceRing
 from godeaux.residue import TauSubring
 
@@ -762,18 +764,21 @@ class TestSpanQuestions:
         assert 0 < columns <= 708
 
 
+def moved(poly):
+    """`poly` with z/2 put for z: a polynomial of the shipped instance in the
+    coordinates z' = 2z."""
+    ring = poly.ring
+    half = [ring.variable(i) for i in range(3)] + [ring.variable(3).scale(Fraction(1, 2))]
+    return evaluate(poly, half, ring.zero(), ring.one())
+
+
 def moved_instance():
     """The shipped instance in the coordinates z' = 2z: the modulus and the
-    reference generators with z/2 put for z (the modulus's lead coefficient
-    becomes 1/4), the residue image of z doubled, and no witness, so every
-    base locus is searched."""
+    reference generators `moved` (the modulus's lead coefficient becomes
+    1/4), the residue image of z doubled, and no witness, so every base
+    locus is searched."""
     instance = load_instance()
     ring = instance.ring
-    half = [ring.variable(i) for i in range(3)] + [ring.variable(3).scale(Fraction(1, 2))]
-
-    def moved(poly):
-        return evaluate(poly, half, ring.zero(), ring.one())
-
     instance.quotient = HypersurfaceRing(ring, moved(instance.quotient.modulus))
     assert instance.quotient.modulus.leading_coefficient() == Fraction(1, 4)
     images = instance.residue.images
@@ -807,3 +812,31 @@ class TestMovedCoordinates:
         report = unpruned_presentation(pipe)[2]
         assert pipe.verify_reference() == report
         assert [e["index"] for e in report["members"] if not e["member"]] == outsiders
+
+    def test_data_file_matches_golden(self, capsys, tmp_path):
+        # `moved_instance` as a data file, with the m = 2 witness's z
+        # coordinate doubled too: the `1/4` and the other fractions that
+        # `format_poly` writes pass through the parser.  The map is a graded
+        # isomorphism of the quotients, so every fact the document states
+        # about the ring comes out the same; only the generators, the
+        # base-locus certificates and the witness point differ
+        raw = json.loads(resources.files("godeaux.data").joinpath("godeaux.json").read_text())
+        ring = load_instance().ring
+        raw["modulus"] = format_poly(moved(parse_poly(raw["modulus"], ring)))
+        assert raw["modulus"].startswith("1/4*z^2+")
+        for entry in raw["reference_generators"]:
+            entry["polynomial"] = format_poly(moved(parse_poly(entry["polynomial"], ring)))
+        raw["residue_images"][3] = [f"2*({text})" for text in raw["residue_images"][3]]
+        point = raw["base_locus"]["witnesses"]["2"]["point"]
+        assert point[3] == "t"
+        point[3] = "2*t"
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["canring", "--instance", str(path), "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        golden = json.loads((GOLDEN / "canring.json").read_text())
+        for key in ("relations", "hilbert", "checks", "codimension", "tricanonical",
+                    "fourcanonical_second_differences"):
+            assert doc[key] == golden[key], key
+        assert {m: locus["verdict"] for m, locus in doc["base_locus"].items()} == \
+            {m: locus["verdict"] for m, locus in golden["base_locus"].items()}

@@ -319,6 +319,8 @@ class TestInputErrors:
          "modulus: degree 240 above the limit 64 (at position 11)"),
         (["verify", "tricanonical"], shipped_with(("modulus",), "3^10000000"),
          "modulus: coefficients of up to 30000000 bits, above the limit 4096 (at position 1)"),
+        (["verify", "tricanonical"], shipped_with(("modulus",), "z^2+" + "1" * 5000),
+         "modulus: literal of more than 4096 bits (at position 4)"),
         (["canring"], shipped_with(("modulus",), "z^2+y^3+"),
          "modulus: unexpected end of input (at position 8)"),
         (["canring"], shipped_with(("reference_generators", 1, "polynomial"), "x1*w"),
@@ -359,7 +361,8 @@ class TestInputErrors:
     ], ids=["canring-array", "topology-array", "defcalc-array", "three-tricanonical-indices",
             "mixed-degree-tricanonical", "string-K2", "topology-given-instance", "boolean-rank",
             "boolean-relator-letter", "boolean-weight", "boolean-node-preimages",
-            "modulus-degree-240", "modulus-huge-coefficient", "modulus-unfinished", "reference-generator-unknown-variable",
+            "modulus-degree-240", "modulus-huge-coefficient", "modulus-long-literal",
+            "modulus-unfinished", "reference-generator-unknown-variable",
             "tricanonical-form-unfinished", "curve-factor-duplicate-name",
             "residue-image-unequal-degrees", "tau-generator-unknown-variable",
             "witness-key-not-an-integer", "witness-degree-one", "witness-degree-negative",

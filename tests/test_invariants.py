@@ -1,14 +1,18 @@
 """Source invariants of the program: it imports the standard library only,
-and its arithmetic is exact (no float, and every division is of a
-Fraction)."""
+a graded command imports no module it does not run, and its arithmetic is
+exact (no float, and every division is of a Fraction)."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "godeaux").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "godeaux").glob("*.py"))
 
 
 def _tree(path):
@@ -39,6 +43,29 @@ def test_absolute_imports_are_stdlib(path):
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, \
                 f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_cli_imports_only_the_graded_modules():
+    # each command is a process of its own that pays for every import at
+    # start-up: `topology` and `defcalc` import their modules when they
+    # run, and `dataclasses`, with the `inspect` it loads, is used by
+    # topology alone.  The modules the graded commands run are loaded at
+    # import, so none of their set-up moves into the first command.
+    # `datafile` finds the bundled data through `importlib.resources`, which
+    # itself imports `inspect` from Python 3.12 on: that is the standard
+    # library's choice, so the comparison starts after it
+    script = ("import importlib.resources, json, sys\n"
+              "before = set(sys.modules)\n"
+              "import godeaux.cli\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120, check=True)
+    loaded = set(json.loads(result.stdout))
+    assert not loaded & {"godeaux.topology", "godeaux.defcalc", "dataclasses", "inspect"}
+    graded = {"canring", "instance", "poly", "quotient", "residue", "linalg", "datafile"}
+    assert {f"godeaux.{name}" for name in graded} <= loaded
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

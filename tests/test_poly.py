@@ -6,11 +6,12 @@ expansion (coin-counting DP) rather than against the enumerator itself.
 
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from godeaux.poly import (
@@ -372,6 +373,140 @@ class TestGrammar:
             with pytest.raises(PolyParseError, match=f"above the limit {MAX_PARSE_BITS}") as info:
                 parse_poly(text, ring)
             assert info.value.position == position
+
+    def test_literal_limit(self, ring):
+        # a numerator, denominator or exponent literal is refused above the
+        # coefficient bound where it stands; one of more than 4300 digits
+        # once escaped as Python's own int() error, with no position
+        top = (1 << MAX_PARSE_BITS) - 1
+        assert parse_poly(f"{top}*x1", ring).coeffs[(1, 0, 0, 0)] == top
+        assert parse_poly(f"1/{top}", ring).coeffs[(0, 0, 0, 0)] == F(1, top)
+        # leading zeros carry no bits
+        assert parse_poly("0" * 5000 + "7*y", ring) == parse_poly("7*y", ring)
+        assert parse_poly("x1^" + "0" * 5000 + "2", ring) == parse_poly("x1^2", ring)
+        for text, position in [(str(top + 1), 0), ("x1+" + "1" * 2000, 3), ("9" * 5000, 0),
+                               ("2/" + "3" * 5000 + "*y", 2), ("x1^" + "1" * 5000, 3),
+                               ("0^" + "9" * 1300, 2)]:
+            with pytest.raises(PolyParseError,
+                               match=f"literal of more than {MAX_PARSE_BITS} bits") as info:
+                parse_poly(text, ring)
+            assert info.value.position == position
+
+    def test_long_whitespace_runs(self, ring):
+        # the tokenizer reads a run of whitespace once: a tokenizer that
+        # tried a match at every position of the run took about 5 s for
+        # 10^4 spaces, growing with the square of the run
+        spaces = " " * 100_000
+        start = time.monotonic()
+        assert parse_poly("x1" + spaces, ring) == parse_poly("x1", ring)
+        assert parse_poly(spaces + "y" + spaces + "*x2" + spaces, ring) == parse_poly("y*x2", ring)
+        with pytest.raises(PolyParseError, match="unexpected character '#'") as info:
+            parse_poly("x1" + spaces + "#", ring)
+        assert info.value.position == 2 + len(spaces)
+        assert time.monotonic() - start < 5
+
+
+# -- parse oracle --------------------------------------------------------------
+
+ORACLE_RING = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 3])
+# a point of Q^4 for a second check by value, which shares no code with the
+# parser's or Poly's arithmetic
+ORACLE_POINT = {"x1": F(2, 3), "x2": F(-5), "y": F(7, 2), "z": F(1, 9)}
+
+
+@st.composite
+def expression_trees(draw, depth=4):
+    """A tree of variables, integer and n/d literals, unary minus, +, -, *,
+    ^ and parentheses, as nested tuples; a leaf below the given depth one
+    time in four."""
+    if depth == 0 or draw(st.integers(0, 3)) == 3:
+        kind = draw(st.sampled_from(["var", "var", "int", "n/d"]))
+        if kind == "var":
+            return kind, draw(st.sampled_from(ORACLE_RING.names))
+        if kind == "int":
+            return kind, draw(st.integers(0, 40))
+        return kind, draw(st.integers(0, 40)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["+", "-", "*", "*", "neg", "^", "()"]))
+    child = expression_trees(depth - 1)
+    if kind in ("neg", "()"):
+        return kind, draw(child)
+    if kind == "^":
+        return kind, draw(child), draw(st.integers(0, 3))
+    return kind, draw(child), draw(child)
+
+
+# the grammar's levels, tightest first: an operand looser than its place
+# asks for is put in parentheses
+ATOM, FACTOR, TERM, EXPR = range(4)
+
+
+def render(node) -> tuple[list[str], int]:
+    """The tokens of the tree `node` as the grammar reads them, and the
+    loosest grammar level they stand at."""
+
+    def at(child, level):
+        tokens, own = render(child)
+        return tokens if own <= level else ["(", *tokens, ")"]
+
+    kind = node[0]
+    if kind == "var":
+        return [node[1]], ATOM
+    if kind == "int":
+        return [str(node[1])], ATOM
+    if kind == "n/d":
+        # n/d is one atom, so n/d^e is (n/d)^e
+        return [str(node[1]), "/", str(node[2])], ATOM
+    if kind == "()":
+        return ["(", *render(node[1])[0], ")"], ATOM
+    if kind == "neg":
+        return ["-", *at(node[1], FACTOR)], FACTOR
+    if kind == "^":
+        return [*at(node[1], ATOM), "^", str(node[2])], FACTOR
+    if kind == "*":
+        return [*at(node[1], TERM), "*", *at(node[2], FACTOR)], TERM
+    return [*at(node[1], EXPR), kind, *at(node[2], TERM)], EXPR
+
+
+def value(node, variable, constant):
+    """The tree `node` evaluated by the arithmetic of its leaves' values."""
+    kind = node[0]
+    if kind == "var":
+        return variable(node[1])
+    if kind == "int":
+        return constant(F(node[1]))
+    if kind == "n/d":
+        return constant(F(node[1], node[2]))
+    if kind == "()":
+        return value(node[1], variable, constant)
+    if kind == "neg":
+        return -value(node[1], variable, constant)
+    if kind == "^":
+        return value(node[1], variable, constant) ** node[2]
+    left, right = (value(child, variable, constant) for child in node[1:])
+    return left + right if kind == "+" else left - right if kind == "-" else left * right
+
+
+def max_degree(node) -> int:
+    """The largest weighted degree of any subtree's polynomial, which the
+    parser's degree guard compares with MAX_PARSE_DEGREE."""
+    subtrees = [child for child in node[1:] if isinstance(child, tuple)]
+    own = value(node, ORACLE_RING.variable, ORACLE_RING.constant).degree() or 0
+    return max([own, *map(max_degree, subtrees)])
+
+
+class TestParseOracle:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(expression_trees(), st.data())
+    def test_parse_matches_tree(self, tree, data):
+        assume(max_degree(tree) <= MAX_PARSE_DEGREE)
+        tokens, _ = render(tree)
+        spaces = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t", "\n"]),
+                                    min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        text = "".join(space + token for space, token in zip(spaces, tokens + [""]))
+        parsed = parse_poly(text, ORACLE_RING)
+        assert parsed == value(tree, ORACLE_RING.variable, ORACLE_RING.constant), text
+        assert evaluate(parsed, [ORACLE_POINT[n] for n in ORACLE_RING.names], 0, 1) == \
+            value(tree, ORACLE_POINT.__getitem__, lambda c: c), text
 
 
 # -- grammar fuzz ------------------------------------------------------------
