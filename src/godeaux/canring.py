@@ -18,6 +18,7 @@ from .instance import Instance, Witness
 from .linalg import Column, Echelon, Number
 from .poly import Monomial, Poly, WeightedRing, divide, evaluate, format_poly
 from .quotient import HypersurfaceRing
+from .residue import _forms, _times
 
 
 # `relations` searches from this degree on.  A dependency among the
@@ -58,16 +59,6 @@ def _divisor_closed(monos: Sequence[Monomial], lower: Sequence[Optional[set[Mono
         else:
             out.append(beta)
     return out
-
-
-def _times(f: dict[int, Number], g: dict[int, Number]) -> dict[int, Number]:
-    """The product of two binary forms, each a {b-exponent: coefficient}
-    map, with no zero coefficient."""
-    out: dict[int, Number] = {}
-    for i, x in f.items():
-        for j, y in g.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return {k: v for k, v in out.items() if v}
 
 
 def _unit(n: int, i: int) -> Monomial:
@@ -124,9 +115,10 @@ class _Products:
 
     A product is an exponent over `ring`, whose variables T1, T2, ... have
     the elements' degrees.  Each column is the coordinates of the product's
-    normal form over the monomial basis of its degree, built once by one
-    `HypersurfaceRing.times` from the cached product without its preferred
-    factor; the cache keys drop trailing zeros, so they survive `extend`.
+    normal form over the monomial basis of its degree, built once from the
+    cached product without its preferred factor by that factor's
+    `HypersurfaceRing.multiplier`, made once per element; the cache keys
+    drop trailing zeros, so they survive `extend`.
     The preferred factor is the first present in one order per space: the
     elements that do not `meets_lead`, which only re-index a column, then
     fewer terms, then the later element.  From degree `floor` on,
@@ -138,6 +130,7 @@ class _Products:
         self.quotient = quotient
         self.floor = floor
         self.elements: list[Poly] = []
+        self._multipliers: list = []
         self.ring = WeightedRing((), ())
         # pivot products per eliminated degree from the floor on
         self.pivots: dict[int, set[Monomial]] = {}
@@ -154,6 +147,7 @@ class _Products:
         pad = (0,) * len(elements)
         self.pivots = {d: {beta + pad for beta in betas} for d, betas in self.pivots.items()}
         self.elements += elements
+        self._multipliers += map(self.quotient.multiplier, elements)
         weights = self.ring.weights + tuple(e.homogeneous_degree() for e in elements)
         self.ring = WeightedRing([f"T{i + 1}" for i in range(len(weights))], weights)
         for i in range(len(weights) - len(elements), len(weights)):
@@ -174,9 +168,8 @@ class _Products:
         if got is None:
             f = next(f for f in self._order if f < i and key[f])
             lower = degree - self.ring.weights[f]
-            got = self._cache[key] = self.quotient.times(
-                self._column(key[:f] + (key[f] - 1,) + key[f + 1:], lower), lower,
-                self.elements[f])
+            got = self._cache[key] = self._multipliers[f](
+                self._column(key[:f] + (key[f] - 1,) + key[f + 1:], lower), lower)
         return got
 
     def columns(self, monos: Sequence[Monomial], degree: int) -> list[Column]:
@@ -252,9 +245,7 @@ class Pipeline:
         self.ring = instance.ring
         self._descend: dict[int, list[Column]] = {}
         self._descend_polys: dict[int, list[Poly]] = {}
-        self._images = [tuple({b: c for (_, b), c in form.coeffs.items()}
-                              for form in (image.first, image.second))
-                        for image in instance.residue.images]
+        self._images = [_forms(image) for image in instance.residue.images]
         self._residues = {(0,) * self.ring.n: ({0: 1}, {0: 1})}
         self._computed: Optional[list[tuple[Poly, int]]] = None
         self.reference_generators = instance.reference_generators

@@ -9,14 +9,16 @@ the constructor raises with the value's dotted path.
 """
 
 import json
-from importlib import resources
-from pathlib import Path
+import os
 from typing import Callable, Optional, TypeVar
 
 T = TypeVar("T")
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                bool: "true or false"}
 _REQUIRED = object()
+# the bundled data files sit beside this module: found through `os.path`, so
+# a command loads no `importlib.resources`, `pathlib`, `tempfile` or `shutil`
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 class InputError(Exception):
@@ -78,8 +80,8 @@ def load(name: str, path: Optional[str], build: Callable[[dict], T]) -> T:
     """Build from the file at `path`, or from the bundled data file `name`."""
     source = name if path is None else path
     try:
-        file = resources.files("godeaux.data").joinpath(name) if path is None else Path(path)
-        text = file.read_text(encoding="utf-8")
+        with open(os.path.join(_DATA, name) if path is None else path, encoding="utf-8") as file:
+            text = file.read()
         try:
             raw = json.loads(text)
         except RecursionError:

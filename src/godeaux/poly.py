@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .linalg import Number, _as_int_row, _content
@@ -102,7 +102,7 @@ class WeightedRing:
         return f"WeightedRing({pairs})"
 
     def degree(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def sort_key(self, mono: Monomial):
         """Sort key; larger key means larger monomial."""

@@ -3,15 +3,29 @@
 A single homogeneous generator is its own Groebner basis, so division with
 remainder by the modulus is the entire reduction machinery; no general
 ideal arithmetic lives here.
+
+Inside `HypersurfaceRing` a monomial of S is keyed by one packed int, its
+exponent of variable i in bits 32i to 32i + 31 (see `_pack`), so a product
+of monomials is an integer sum and a table key hashes one int.  Packing is
+exact while every exponent stays below 2^32, far above any degree the
+program enumerates.  Every public reader takes and returns exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from typing import Callable
 
 from .linalg import Column, Number, dense
 from .poly import Monomial, Poly, WeightedRing, _norm_coeff
+
+# a product in S/f in coordinates: (column over degree_basis(d), d) -> column
+Product = Callable[[Column, int], dict[int, Number]]
+
+
+def _pack(mono: Monomial) -> int:
+    """The packed key of an exponent tuple: exponent i in bits 32i to 32i + 31."""
+    return sum(e << (32 * i) for i, e in enumerate(mono))
 
 
 class HypersurfaceRing:
@@ -31,21 +45,22 @@ class HypersurfaceRing:
         self.ambient = ambient
         self.modulus = modulus
         self.lead = lead = modulus.leading_monomial()
+        self._lead = _pack(lead)
         lc = modulus.coeffs[lead]
         # lead = -(tail)/lc modulo the modulus: a rewrite adds coeff * tc at
-        # shift * tm for each (tm, tc) here
+        # shift * tm for each packed (tm, tc) here
         self._rewrite = []
         for m, c in modulus.coeffs.items():
             if m != lead:
                 q = -Fraction(c) / lc
-                self._rewrite.append((m, q.numerator if q.denominator == 1 else q))
+                self._rewrite.append((_pack(m), q.numerator if q.denominator == 1 else q))
         # the only exponents a reducibility test has to compare
         self._lead_exponents = tuple((i, e) for i, e in enumerate(lead) if e)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
-        self._shift_cache: dict[tuple[Monomial, int], tuple[int, list]] = {}
-        self._unit_cache: dict[int, dict[Monomial, tuple[tuple[int, int]]]] = {}
+        self._shift_cache: dict[tuple[int, int], list] = {}
+        self._unit_cache: dict[int, dict[int, tuple[tuple[int, int]]]] = {}
         # the normal form of each reducible monomial reached so far; see `_entry`
-        self._memo: dict[Monomial, tuple[tuple[int, Number], ...]] = {}
+        self._memo: dict[int, tuple[tuple[int, Number], ...]] = {}
 
     def __repr__(self) -> str:
         return f"HypersurfaceRing({self.ambient!r} / ({self.modulus}))"
@@ -64,7 +79,7 @@ class HypersurfaceRing:
         for m, c in p.coeffs.items():
             d = self.ambient.degree(m)
             basis = self.degree_basis(d)
-            for j, v in self._entry(m, d):
+            for j, v in self._entry(_pack(m), d):
                 out[basis[j]] = out.get(basis[j], 0) + c * v
         return Poly(self.ambient, out)
 
@@ -73,59 +88,76 @@ class HypersurfaceRing:
         does, lead divides b * t iff it divides b, so nothing reduces."""
         return any(t[i] for t in element.coeffs for i, _ in self._lead_exponents)
 
-    def times(self, column: Column, d: int, element: Poly) -> dict[int, Number]:
-        """The coordinates {position in degree_basis(d + e): coefficient} of
-        normal_form(x * element), for x given by its coordinates `column`
-        over degree_basis(d) and `element` homogeneous of degree e.
+    def multiplier(self, element: Poly) -> Product:
+        """The product by `element`, homogeneous of degree e, checked once:
+        a function taking the coordinates `column` of an x over
+        degree_basis(d), and d, to the coordinates {position in
+        degree_basis(d + e): coefficient} of normal_form(x * element).
 
         Multiplication by a monomial t is linear on S/f, so the product is
         read off one table per term of `element`: the memoized normal form
-        of b * t for each basis monomial b of degree d (see `_shift_table`).
-        When the element does not `meets_lead`, every entry is one
-        (position, 1) pair, so the product only re-indexes the column, and
-        a single such term does it in one pass.  Coefficients follow
-        `Poly`'s rule: an integer value is an int, and zeros are dropped.
+        of b * t for each basis monomial b of degree d (see `_shift_table`),
+        looked up once per degree.  When a single term misses lead (no
+        `meets_lead`), every entry is one (position, 1) pair, so the product
+        only re-indexes the column through a flat position list, with no
+        multiplication for a coefficient of 1.  Coefficients follow `Poly`'s
+        rule: an integer value is an int, and zeros are dropped.
         """
         if element.ring != self.ambient:
             raise ValueError("polynomial from a different ring")
         if element.is_zero:
             raise ValueError("element must be nonzero")
-        shifts = [(self._shift_table(t, d), c) for t, c in element.coeffs.items()]
-        if any(e != shifts[0][0][0] for (e, _), _ in shifts):
+        if not element.is_homogeneous():
             raise ValueError("element must be homogeneous")
-        if len(shifts) == 1 and not self.meets_lead(element):
+        e = element.homogeneous_degree()
+        terms = [(_pack(t), c) for t, c in element.coeffs.items()]
+        tables: dict[int, list] = {}
+        if len(terms) == 1 and not self.meets_lead(element):
             # the table loop below gives the same, more slowly; x and c are
             # nonzero, so no product is zero
-            ((_, table), c), = shifts
-            return {table[i][0][0]: v if type(v := x * c) is int else _norm_coeff(v)
-                    for i, x in column.items()}
-        out: dict[int, Number] = {}
-        get = out.get
-        for (_, table), c in shifts:
-            for i, x in column.items():
-                xc = x * c
-                for j, v in table[i]:
-                    out[j] = get(j, 0) + xc * v
-        return {j: v if type(v) is int else _norm_coeff(v) for j, v in out.items() if v}
+            ((t, c),) = terms
 
-    def _shift_table(self, t: Monomial, d: int) -> tuple[int, list]:
-        """The degree e of `t`, and for each monomial of degree_basis(d) the
-        `_entry` of its product with t: the shared (position, coefficient)
-        pairs of that product's normal form over degree_basis(d + e), so a
-        product that several tables reach is one object.  Built on first use
-        and kept."""
+            def shift(column: Column, d: int) -> dict[int, Number]:
+                to = tables.get(d)
+                if to is None:
+                    to = tables[d] = [j for ((j, _),) in self._shift_table(t, d, e)]
+                if c == 1:
+                    return {to[i]: x if type(x) is int else _norm_coeff(x)
+                            for i, x in column.items()}
+                return {to[i]: v if type(v := x * c) is int else _norm_coeff(v)
+                        for i, x in column.items()}
+            return shift
+
+        def product(column: Column, d: int) -> dict[int, Number]:
+            shifts = tables.get(d)
+            if shifts is None:
+                shifts = tables[d] = [(self._shift_table(t, d, e), c) for t, c in terms]
+            out: dict[int, Number] = {}
+            get = out.get
+            for table, c in shifts:
+                for i, x in column.items():
+                    xc = x * c
+                    for j, v in table[i]:
+                        out[j] = get(j, 0) + xc * v
+            return {j: v if type(v) is int else _norm_coeff(v) for j, v in out.items() if v}
+        return product
+
+    def _shift_table(self, t: int, d: int, e: int) -> list:
+        """For each monomial of degree_basis(d), the `_entry` of its product
+        with the packed monomial t of degree e: the shared (position,
+        coefficient) pairs of that product's normal form over
+        degree_basis(d + e), so a product that several tables reach is one
+        object.  Built on first use and kept."""
         key = (t, d)
         got = self._shift_cache.get(key)
         if got is None:
-            e = self.ambient.degree(t)
             units = self._units(d + e)
-            products = (tuple(map(add, b, t)) for b in self.degree_basis(d))
-            got = self._shift_cache[key] = (
-                e, [units.get(m) or self._entry(m, d + e) for m in products])
+            got = self._shift_cache[key] = [units.get(m := b + t) or self._entry(m, d + e)
+                                            for b in self._units(d)]
         return got
 
-    def _entry(self, m: Monomial, d: int) -> tuple[tuple[int, Number], ...]:
-        """The (position, coefficient) pairs of the normal form of the
+    def _entry(self, m: int, d: int) -> tuple[tuple[int, Number], ...]:
+        """The (position, coefficient) pairs of the normal form of the packed
         monomial m of degree d over degree_basis(d), one object per monomial.
 
         A basis monomial reads its `_units` entry.  A reducible m = lead * s
@@ -136,10 +168,10 @@ class HypersurfaceRing:
         """
         got = self._units(d).get(m) or self._memo.get(m)
         if got is None:
-            shift = tuple(map(sub, m, self.lead))
+            shift = m - self._lead
             acc: dict[int, Number] = {}
             for tm, tc in self._rewrite:
-                for j, v in self._entry(tuple(map(add, shift, tm)), d):
+                for j, v in self._entry(shift + tm, d):
                     acc[j] = acc.get(j, 0) + tc * v
             got = self._memo[m] = tuple((j, _norm_coeff(v)) for j, v in acc.items() if v)
         return got
@@ -168,21 +200,30 @@ class HypersurfaceRing:
         """The nonzero coordinates {position in degree_basis(d): coefficient}
         of a polynomial already in normal form.
 
-        Raises ValueError unless every term of `nf` is a basis monomial of
-        degree d, which rejects both a wrong degree and an unreduced input.
+        Raises ValueError unless `nf` lies in the ambient ring and every term
+        is a basis monomial of degree d, which rejects both a wrong degree
+        and an unreduced input.
         """
+        if nf.ring != self.ambient:
+            raise ValueError("polynomial from a different ring")
+        basis = self.degree_basis(d)
         units = self._units(d)
-        try:
-            return {units[m][0][0]: c for m, c in nf.coeffs.items()}
-        except KeyError:
-            raise ValueError(f"degree mismatch: not a normal form of degree {d}") from None
+        out = {}
+        for m, c in nf.coeffs.items():
+            got = units.get(_pack(m))
+            # an exponent of 2^32 or more would pack onto another monomial
+            if got is None or basis[got[0][0]] != m:
+                raise ValueError(f"degree mismatch: not a normal form of degree {d}")
+            out[got[0][0]] = c
+        return out
 
-    def _units(self, d: int) -> dict[Monomial, tuple[tuple[int, int]]]:
+    def _units(self, d: int) -> dict[int, tuple[tuple[int, int]]]:
         """The `_entry` ((position, 1),) of each monomial of degree_basis(d),
-        keyed by the monomial: one object per basis monomial, shared by every
-        table that lands in degree d, and the degree's position map."""
+        keyed by the packed monomial, in basis order: one object per basis
+        monomial, shared by every table that lands in degree d, and the
+        degree's position map."""
         units = self._unit_cache.get(d)
         if units is None:
             units = self._unit_cache[d] = {
-                m: ((i, 1),) for i, m in enumerate(self.degree_basis(d))}
+                _pack(m): ((i, 1),) for i, m in enumerate(self.degree_basis(d))}
         return units

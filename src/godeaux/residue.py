@@ -13,6 +13,26 @@ from typing import Optional, Sequence
 from .linalg import Number
 from .poly import Poly, WeightedRing, evaluate, parse_poly
 
+# a binary form of known degree d as {b-exponent: coefficient}: the
+# coefficient of a^(d - i) b^i at i
+Form = dict[int, Number]
+
+
+def _times(f: Form, g: Form) -> Form:
+    """The product of two binary forms, each a {b-exponent: coefficient}
+    map, with no zero coefficient."""
+    out: Form = {}
+    for i, x in f.items():
+        for j, y in g.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _forms(element: CurveElement) -> tuple[Form, Form]:
+    """The {b-exponent: coefficient} maps of an element's two binary forms."""
+    return tuple({b: c for (_, b), c in form.coeffs.items()}
+                 for form in (element.first, element.second))
+
 
 class CurveRing:
     """Product of two polynomial rings in variable pairs of weight 1."""
@@ -169,21 +189,22 @@ class TauSubring:
         self.u = u
         self.v = v
         self.curve = u.ring
-        # the bases of degrees 0, 1, ..., len - 1
-        self._bases: list[list[CurveElement]] = [[self.curve.one()]]
+        self._u, self._v = _forms(u), _forms(v)
+        # the bases of degrees 0, 1, ..., len - 1, each entry its two forms
+        self._bases: list[list[tuple[Form, Form]]] = [[({0: 1}, {0: 1})]]
 
-    def basis(self, d: int) -> list[CurveElement]:
-        """The d+1 products u^(d-k) v^k, listed with the u power descending.
+    def basis_vectors(self, d: int) -> list[dict[int, Number]]:
+        """The `CurveElement.coordinate_vector` of each product u^(d-k) v^k,
+        listed with the u power descending.
 
         Grown from the highest cached degree up: u^(d-k) v^k is u times
-        entry k of degree d - 1, and v^d is v times its last entry."""
+        entry k of degree d - 1, and v^d is v times its last entry, each
+        product a convolution of coefficient maps, factor by factor."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
         bases = self._bases
         while len(bases) <= d:
             below = bases[-1]
-            bases.append([self.u * x for x in below] + [self.v * below[-1]])
-        return bases[d]
-
-    def basis_vectors(self, d: int) -> list[dict[int, Number]]:
-        return [e.coordinate_vector(d) for e in self.basis(d)]
+            bases.append([tuple(map(_times, self._u, x)) for x in below]
+                         + [tuple(map(_times, self._v, below[-1]))])
+        return [{**f, **{d + 1 + i: x for i, x in g.items()}} for f, g in bases[d]]

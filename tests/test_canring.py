@@ -19,7 +19,7 @@ from godeaux import canring, cli, linalg, quotient, residue
 from godeaux.canring import Pipeline
 from godeaux.instance import load_instance
 from godeaux.linalg import Echelon, SpanBuilder, dense
-from godeaux.poly import Poly, evaluate, format_poly, parse_poly
+from godeaux.poly import Poly, WeightedRing, evaluate, format_poly, parse_poly
 from godeaux.quotient import HypersurfaceRing
 from godeaux.residue import TauSubring
 
@@ -156,18 +156,26 @@ class TestProducts:
         # a product is built through a factor whose terms miss z, the
         # variable of lead(f) = z^2, whenever it has one, and such a factor
         # only re-indexes; through the last factor 965, 565 and 45 products
-        # met z, and the count must not rise.  canring's map checks run in
-        # this process (`inline_child`), or their products would go uncounted
+        # met z, and the count must not rise.  Each product by a factor
+        # that meets z is counted through the function its `multiplier`
+        # returns.  canring's map checks run in this process
+        # (`inline_child`), or their products would go uncounted
         reducing = 0
-        times = HypersurfaceRing.times
+        multiplier = HypersurfaceRing.multiplier
 
-        def counted(self, column, d, element):
-            nonlocal reducing
+        def counted(self, element):
+            product = multiplier(self, element)
             lead = [v for v, e in enumerate(self.lead) if e]
-            reducing += any(t[v] for t in element.coeffs for v in lead)
-            return times(self, column, d, element)
+            if not any(t[v] for t in element.coeffs for v in lead):
+                return product
 
-        monkeypatch.setattr(HypersurfaceRing, "times", counted)
+            def reduced(column, d):
+                nonlocal reducing
+                reducing += 1
+                return product(column, d)
+            return reduced
+
+        monkeypatch.setattr(HypersurfaceRing, "multiplier", counted)
         if stage == "canring":
             out = io.StringIO()
             with redirect_stdout(out):
@@ -789,6 +797,28 @@ def moved_instance():
     return instance
 
 
+def shipped_data():
+    return json.loads(resources.files("godeaux.data").joinpath("godeaux.json").read_text())
+
+
+def canring_document(raw, tmp_path, capsys):
+    """The structured `canring` document of the data file `raw`."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["canring", "--instance", str(path), "--format", "structured"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def assert_matches_golden(doc):
+    """Every fact `doc` states about the ring is the shipped golden's."""
+    golden = json.loads((GOLDEN / "canring.json").read_text())
+    for key in ("relations", "hilbert", "checks", "codimension", "tricanonical",
+                "fourcanonical_second_differences"):
+        assert doc[key] == golden[key], key
+    assert {m: locus["verdict"] for m, locus in doc["base_locus"].items()} == \
+        {m: locus["verdict"] for m, locus in golden["base_locus"].items()}
+
+
 class TestMovedCoordinates:
     """The reference check's subring shortcut and the base-locus pruning
     against their oracles off the shipped coordinates, whose modulus is
@@ -820,7 +850,7 @@ class TestMovedCoordinates:
         # isomorphism of the quotients, so every fact the document states
         # about the ring comes out the same; only the generators, the
         # base-locus certificates and the witness point differ
-        raw = json.loads(resources.files("godeaux.data").joinpath("godeaux.json").read_text())
+        raw = shipped_data()
         ring = load_instance().ring
         raw["modulus"] = format_poly(moved(parse_poly(raw["modulus"], ring)))
         assert raw["modulus"].startswith("1/4*z^2+")
@@ -830,13 +860,35 @@ class TestMovedCoordinates:
         point = raw["base_locus"]["witnesses"]["2"]["point"]
         assert point[3] == "t"
         point[3] = "2*t"
-        path = tmp_path / "moved.json"
-        path.write_text(json.dumps(raw))
-        assert cli.main(["canring", "--instance", str(path), "--format", "structured"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        golden = json.loads((GOLDEN / "canring.json").read_text())
-        for key in ("relations", "hilbert", "checks", "codimension", "tricanonical",
-                    "fourcanonical_second_differences"):
-            assert doc[key] == golden[key], key
-        assert {m: locus["verdict"] for m, locus in doc["base_locus"].items()} == \
-            {m: locus["verdict"] for m, locus in golden["base_locus"].items()}
+        assert_matches_golden(canring_document(raw, tmp_path, capsys))
+
+    def test_symmetry_data_file_matches_golden(self, capsys, tmp_path):
+        # sigma: x1 <-> x2, z -> -z fixes f.  Swapping the curve's two
+        # factors in the residue images gives the images composed with
+        # sigma and keeps the tau subring, so the canonical ring is carried
+        # onto itself: the reference generators and the m = 2 witness are
+        # moved by sigma, and every fact about the ring comes out the same
+        raw = shipped_data()
+        ring = load_instance().ring
+        x1, x2, y, z = (ring.variable(i) for i in range(4))
+
+        def sigma(text):
+            return evaluate(parse_poly(text, ring), [x2, x1, y, -z], ring.zero(), ring.one())
+
+        assert sigma(raw["modulus"]) == parse_poly(raw["modulus"], ring)
+        for entry in raw["reference_generators"]:
+            entry["polynomial"] = format_poly(sigma(entry["polynomial"]))
+        first, second = (WeightedRing(names, [1, 1]) for names in raw["curve_factors"])
+
+        def swapped(text, source, target):
+            return format_poly(Poly(target, parse_poly(text, source).coeffs))
+
+        images = raw["residue_images"]
+        raw["residue_images"] = [[swapped(g, second, first), swapped(f, first, second)]
+                                 for f, g in images]
+        # the images of x1 and x2 trade places
+        assert raw["residue_images"][:2] == images[1::-1]
+        point = raw["base_locus"]["witnesses"]["2"]["point"]
+        assert point == ["0", "1", "1", "t"]
+        raw["base_locus"]["witnesses"]["2"]["point"] = ["1", "0", "1", "-t"]
+        assert_matches_golden(canring_document(raw, tmp_path, capsys))

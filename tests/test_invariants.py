@@ -51,10 +51,10 @@ def test_cli_imports_only_the_graded_modules():
     # run, and `dataclasses`, with the `inspect` it loads, is used by
     # topology alone.  The modules the graded commands run are loaded at
     # import, so none of their set-up moves into the first command.
-    # `datafile` finds the bundled data through `importlib.resources`, which
-    # itself imports `inspect` from Python 3.12 on: that is the standard
-    # library's choice, so the comparison starts after it
-    script = ("import importlib.resources, json, sys\n"
+    # `datafile` finds the bundled data through `os.path`, so neither
+    # `importlib.resources` (which imports `inspect` from Python 3.12 on)
+    # nor the `pathlib`, `tempfile` and `shutil` under it are loaded
+    script = ("import json, sys\n"
               "before = set(sys.modules)\n"
               "import godeaux.cli\n"
               "print(json.dumps(sorted(set(sys.modules) - before)))\n")
@@ -63,7 +63,8 @@ def test_cli_imports_only_the_graded_modules():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, timeout=120, check=True)
     loaded = set(json.loads(result.stdout))
-    assert not loaded & {"godeaux.topology", "godeaux.defcalc", "dataclasses", "inspect"}
+    assert not loaded & {"godeaux.topology", "godeaux.defcalc", "dataclasses", "inspect",
+                         "importlib.resources", "pathlib", "tempfile", "shutil"}
     graded = {"canring", "instance", "poly", "quotient", "residue", "linalg", "datafile"}
     assert {f"godeaux.{name}" for name in graded} <= loaded
 

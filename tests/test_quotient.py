@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from godeaux.linalg import dense
 from godeaux.poly import Poly, WeightedRing, divide, parse_poly
-from godeaux.quotient import HypersurfaceRing
+from godeaux.quotient import HypersurfaceRing, _pack
 
 
 def quotient_series(dmax):
@@ -199,32 +199,47 @@ class TestVectors:
             quotient.sparse_coordinates(parse_poly("x1*y + x1^4", ring), 4)
         assert quotient.sparse_coordinates(Poly(ring, {}), 2) == {}
 
-    def test_times_refuses_elements_without_a_degree(self, quotient, ring):
-        column = {0: 1}
+    def test_sparse_coordinates_refuse_another_ring(self, quotient, ring):
+        # monomials are keyed by packed ints inside the quotient, and the
+        # exponents of a shorter ring pack onto the same keys: the ring is
+        # checked, not only the keys
+        shorter = WeightedRing(["x1", "x2", "y"], [1, 1, 2])
+        renamed = WeightedRing(["x1", "x2", "y", "w"], [1, 1, 2, 3])
+        for other in (shorter, renamed):
+            with pytest.raises(ValueError, match="different ring"):
+                quotient.sparse_coordinates(parse_poly("x1*y", other), 3)
+        # an exponent of 2^32 packs onto the next variable's and is refused
+        with pytest.raises(ValueError, match="degree mismatch"):
+            quotient.sparse_coordinates(Poly(ring, {(2 ** 32, 0, 0, 0): 1}), 1)
+
+    def test_multiplier_refuses_elements_without_a_degree(self, quotient, ring):
+        # refused when the multiplier is made, before any product
         with pytest.raises(ValueError, match="nonzero"):
-            quotient.times(column, 1, ring.zero())
+            quotient.multiplier(ring.zero())
         with pytest.raises(ValueError, match="homogeneous"):
-            quotient.times(column, 1, parse_poly("x1 + y", ring))
+            quotient.multiplier(parse_poly("x1 + y", ring))
         other = WeightedRing(["x1", "x2", "y", "w"], [1, 1, 2, 3])
         with pytest.raises(ValueError, match="different ring"):
-            quotient.times(column, 1, other.variable("x1"))
+            quotient.multiplier(other.variable("x1"))
 
-    def test_times_builds_tables_on_first_use(self, ring):
+    def test_multiplier_builds_tables_on_first_use(self, ring):
         fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3+x1^6", ring))
+        by_z = fresh.multiplier(ring.variable("z"))
         assert fresh._shift_cache == {}
-        z = ring.variable("z")
         # z * z lands on the reducible z^2, whose normal form is -y^3 - x1^6
-        column = fresh.times(fresh.times({0: 1}, 0, z), 3, z)
+        column = by_z(by_z({0: 1}, 0), 3)
         basis = fresh.degree_basis(6)
         assert {basis[i]: c for i, c in column.items()} == {(0, 0, 3, 0): -1, (6, 0, 0, 0): -1}
-        assert sorted(fresh._shift_cache) == [((0, 0, 0, 1), 0), ((0, 0, 0, 1), 3)]
+        z = _pack((0, 0, 0, 1))
+        assert z == 1 << 96
+        assert sorted(fresh._shift_cache) == [(z, 0), (z, 3)]
 
     def test_tables_share_basis_entries(self, ring):
         # a product that is a basis monomial has the entry ((position, 1),),
         # one object for every table that lands in its degree
         fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3+x1^6", ring))
-        _, by_y = fresh._shift_table((0, 0, 1, 0), 4)
-        _, by_x1 = fresh._shift_table((1, 0, 0, 0), 5)
+        by_y = fresh._shift_table(_pack((0, 0, 1, 0)), 4, 2)
+        by_x1 = fresh._shift_table(_pack((1, 0, 0, 0)), 5, 1)
         target = (2, 0, 2, 0)
         from_y = by_y[fresh.degree_basis(4).index((2, 0, 1, 0))]
         from_x1 = by_x1[fresh.degree_basis(5).index((1, 0, 2, 0))]
@@ -232,8 +247,8 @@ class TestVectors:
         assert from_y is from_x1
         # a reducible product, x1*z^2 = (x1*z) * z = z * (x1*z), is one
         # memoized normal form for both tables
-        _, by_z = fresh._shift_table((0, 0, 0, 1), 4)
-        _, by_x1z = fresh._shift_table((1, 0, 0, 1), 3)
+        by_z = fresh._shift_table(_pack((0, 0, 0, 1)), 4, 3)
+        by_x1z = fresh._shift_table(_pack((1, 0, 0, 1)), 3, 4)
         from_z = by_z[fresh.degree_basis(4).index((1, 0, 0, 1))]
         from_x1z = by_x1z[fresh.degree_basis(3).index((0, 0, 0, 1))]
         nf = fresh.normal_form(parse_poly("x1*z^2", ring))
@@ -242,14 +257,17 @@ class TestVectors:
 
 
 class TestReindexing:
-    """`times` by an element whose terms all miss z, the variable of
+    """The product by an element whose terms all miss z, the variable of
     lead(f) = z^2, re-indexes the column: every table entry is one
-    (position, 1) pair, and nothing is reduced."""
+    (position, 1) pair, and nothing is reduced.  A single term re-indexes
+    through a position list, with no multiplication for a coefficient of
+    1; the sampled columns hold Fractions of denominator 1, which come out
+    as ints."""
 
-    @pytest.mark.parametrize("text", ["x1", "x1*x2^2*y", "3/2*x1^2", "x2*y+x1*y",
+    @pytest.mark.parametrize("text", ["x1", "x1*x2^2*y", "-2*x1*y", "3/2*x1^2", "x2*y+x1*y",
                                       "y-x2^2-x1^2", "x1^4-2/3*x1*x2*y+y^2"],
-                             ids=["variable", "monomial", "fraction-term", "two-terms",
-                                  "three-terms", "fraction-sum"])
+                             ids=["variable", "monomial", "integer-term", "fraction-term",
+                                  "two-terms", "three-terms", "fraction-sum"])
     def test_matches_normal_form(self, ring, text):
         fresh = HypersurfaceRing(ring, parse_poly("z^2+y^3-(x1-x2)*y*z+x1^5*x2+x1*x2^5", ring))
         element = parse_poly(text, ring)
@@ -270,25 +288,25 @@ class TestReindexing:
             raise AssertionError("a re-indexing reduced a monomial")
 
         fresh._entry = refuse
+        product = fresh.multiplier(element)
         for d, column, expected in samples:
-            got = fresh.times(column, d, element)
+            got = product(column, d)
             assert got == expected
             assert all(type(c) is int or c.denominator != 1 for c in got.values())
             assert all(got.values())
         assert all(len(entry) == 1 and entry[0][1] == 1
-                   for _, table in fresh._shift_cache.values() for entry in table)
+                   for table in fresh._shift_cache.values() for entry in table)
 
     @pytest.mark.parametrize("var, mixed", [("x1", "x1 + y"), ("z", "z + y")],
                              ids=["re-indexing", "table"])
     def test_refusals_match_the_table_path(self, quotient, ring, var, mixed):
-        column = {0: 1}
         with pytest.raises(ValueError, match="nonzero"):
-            quotient.times(column, 1, ring.zero())
+            quotient.multiplier(ring.zero())
         with pytest.raises(ValueError, match="homogeneous"):
-            quotient.times(column, 1, parse_poly(mixed, ring))
+            quotient.multiplier(parse_poly(mixed, ring))
         other = WeightedRing(["x1", "x2", "y", "z"], [1, 1, 2, 4])
         with pytest.raises(ValueError, match="different ring"):
-            quotient.times(column, 1, other.variable(var))
+            quotient.multiplier(other.variable(var))
 
 
 # -- oracle: the memoized rewrite against generic division --------------
@@ -358,12 +376,12 @@ def cancelling_factors(data, quotient):
     return d, {i1: a, i2: a2}, element, cancelled
 
 
-def assert_times_matches_divide(quotient, d, column, element):
+def assert_product_matches_divide(quotient, d, column, element):
     basis = quotient.degree_basis(d)
     x = Poly(ORACLE_RING, {basis[i]: c for i, c in column.items()})
     e = element.homogeneous_degree()
     _, remainder = divide(x * element, [quotient.modulus])
-    got = quotient.times(column, d, element)
+    got = quotient.multiplier(element)(column, d)
     assert got == quotient.sparse_coordinates(remainder, d + e)
     # `==` equates 2 and Fraction(2): every integer value is stored as an
     # int, as `Poly` stores it, and no zero is stored
@@ -408,7 +426,7 @@ class TestReductionOracle:
     def test_times_matches_divide(self, oracle_quotient, data):
         d, column = normal_form_factor(data, oracle_quotient)
         element = homogeneous_element(data, data.draw(st.integers(0, 6)))
-        assert_times_matches_divide(oracle_quotient, d, column, element)
+        assert_product_matches_divide(oracle_quotient, d, column, element)
 
     @ORACLE
     @given(st.data())
@@ -419,4 +437,4 @@ class TestReductionOracle:
         assert oracle_quotient._reducible(cancelled)
         # a riding term may hit X again
         assume(cancelled not in raw.coeffs)
-        assert_times_matches_divide(oracle_quotient, d, column, element)
+        assert_product_matches_divide(oracle_quotient, d, column, element)

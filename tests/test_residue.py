@@ -14,7 +14,7 @@ F = Fraction
 
 
 def tau_membership(tau, e, d=None):
-    """Oracle for descent: the coefficients of e over tau.basis(d), or None
+    """Oracle for descent: the coefficients of e over tau.basis_vectors(d), or None
     if e lies outside the subring, by `linalg.membership` over dense
     columns."""
     if d is None:
@@ -134,10 +134,11 @@ class TestResidueMap:
 
 class TestTauSubring:
     def test_basis_degree_zero(self, tau, curve):
-        assert tau.basis(0) == [curve.one()]
+        assert tau.basis_vectors(0) == [curve.one().coordinate_vector()]
 
     def test_basis_degree_one(self, tau, curve):
-        assert tau.basis(1) == [curve.element("a1", "a2"), curve.element("b1", "a2-b2")]
+        assert tau.basis_vectors(1) == [curve.element("a1", "a2").coordinate_vector(),
+                                        curve.element("b1", "a2-b2").coordinate_vector()]
 
     def test_basis_independent_up_to_twenty(self, tau, curve):
         for d in range(21):
@@ -151,20 +152,21 @@ class TestTauSubring:
         # one in its loop; entry k must be u^(d-k) v^k multiplied out
         u, v = curve.element("a1", "a2"), curve.element("b1", "a2-b2")
         fresh = TauSubring(u, v)
-        fresh.basis(first)
+        fresh.basis_vectors(first)
         for d in range(21):
-            basis = fresh.basis(d)
+            basis = fresh.basis_vectors(d)
             assert len(basis) == d + 1
-            for k, element in enumerate(basis):
+            for k, column in enumerate(basis):
                 expected = curve.one()
                 for factor in [u] * (d - k) + [v] * k:
                     expected = expected * factor
-                assert element == expected, (d, k)
-                assert element.degree == d
+                assert expected.degree == d
+                # the same entries in the same order
+                assert list(column.items()) == list(expected.coordinate_vector().items()), (d, k)
 
     def test_basis_refuses_negative_degree(self, tau):
         with pytest.raises(ValueError):
-            tau.basis(-1)
+            tau.basis_vectors(-1)
 
     def test_degree_two_membership(self, tau, curve):
         e = curve.element("b1^2-a1*b1+a1^2", "b2^2-a2*b2+a2^2")
